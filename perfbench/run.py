@@ -4,7 +4,7 @@
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
     python3 perfbench/run.py --selftest
 
-Workloads: listing1, nested-dc, serve-calm, serve-burst, wire-pipeline (see
+Workloads: listing1, nested-dc, serve-closed (see
 perfbench/README.md).  The build goes to .bench_build/perfbench in the
 checkout root (Release); traced runs write a Chrome trace-event file to
 .bench_build/traces/.  The last line of standard output is the result JSON.
@@ -19,7 +19,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
-WORKLOADS = ("listing1", "nested-dc", "serve-calm", "serve-burst", "wire-pipeline")
+WORKLOADS = ("listing1", "nested-dc", "serve-closed")
 
 
 def fail(msg):

@@ -97,7 +97,6 @@ BatchLayers analyze_runs(const std::vector<trace::Span>& spans) {
 Stages analyze_requests(const std::vector<trace::Span>& spans) {
   struct Join {
     const trace::Span* request = nullptr;
-    const trace::Span* send = nullptr;
     const trace::Span* server = nullptr;
     const trace::Span* body = nullptr;
   };
@@ -107,7 +106,6 @@ Stages analyze_requests(const std::vector<trace::Span>& spans) {
     Join& j = by_unit[s.unit];
     switch (s.kind) {
       case Kind::Request: j.request = &s; break;
-      case Kind::Send: j.send = &s; break;
       case Kind::Server: j.server = &s; break;
       case Kind::BodyAccurate:
       case Kind::BodyApprox: j.body = &s; break;
@@ -121,22 +119,18 @@ Stages analyze_requests(const std::vector<trace::Span>& spans) {
       st.body_s += d * 1e-6;
       (j.body->kind == Kind::BodyAccurate ? st.body_acc_us : st.body_app_us).push_back(d);
     }
-    if (j.request == nullptr || j.send == nullptr || j.server == nullptr || j.body == nullptr) {
-      continue;
-    }
+    if (j.request == nullptr || j.server == nullptr || j.body == nullptr) continue;
     ++st.complete;
-    const std::int64_t lag = j.send->t1 - j.send->t0;
-    const std::int64_t in = j.server->t0 - j.send->t1;
+    const std::int64_t in = j.server->t0 - j.request->t0;
     const std::int64_t queue = j.body->t0 - j.server->t0;
     const std::int64_t body = j.body->t1 - j.body->t0;
     const std::int64_t out = j.request->t1 - j.body->t1;
     // Closure: the stages are ordered (none negative beyond clock
     // granularity) and add up to the request span.
     const std::int64_t total = j.request->t1 - j.request->t0;
-    const std::int64_t sum = lag + in + queue + body + out;
-    const bool ordered = lag >= 0 && in >= -kSkewNs && queue >= -kSkewNs && out >= 0;
+    const std::int64_t sum = in + queue + body + out;
+    const bool ordered = in >= -kSkewNs && queue >= -kSkewNs && body >= 0 && out >= 0;
     if (!ordered || std::llabs(sum - total) > 1000 + total / 100) ++st.closure_fail;
-    st.lag_us.push_back(us(lag));
     st.in_us.push_back(us(in));
     st.queue_us.push_back(us(queue));
     st.out_us.push_back(us(out));
@@ -144,5 +138,34 @@ Stages analyze_requests(const std::vector<trace::Span>& spans) {
   return st;
 }
 
+double self_seconds(const std::vector<trace::Span>& spans, Kind kind) {
+  const std::vector<std::int64_t> self = trace::self_times(spans);
+  double s = 0.0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].kind == kind) s += static_cast<double>(self[i]) * 1e-9;
+  }
+  return s;
+}
+
+std::vector<Metric> layer_metrics(const LayerFigures& f) {
+  return {
+      {"stage.submit_us", f.submit_us, "us"},
+      {"stage.queue_us_p50", f.queue_us_p50, "us"},
+      {"stage.queue_us_p99", f.queue_us_p99, "us"},
+      {"stage.body_accurate_us", f.body_accurate_us, "us"},
+      {"stage.complete_us", f.complete_us, "us"},
+      {"core.busy_us_per_unit", f.busy_us_per_unit, "us"},
+      {"core.body_share", f.body_share, "ratio"},
+      {"core.help_self_share", f.help_self_share, "ratio"},
+      {"core.steals_per_ktask", f.steals_per_ktask, "count"},
+      {"core.inline_spawns_per_ktask", f.inline_spawns_per_ktask, "count"},
+      {"core.handoffs_per_kunit", f.handoffs_per_kunit, "count"},
+      {"policy.ratio_diff", f.ratio_diff, "ratio"},
+      {"policy.inversion", f.inversion, "ratio"},
+      {"policy.approx_share", f.approx_share, "ratio"},
+      {"policy.dropped_share", f.dropped_share, "ratio"},
+      {"dep.edges_per_task", f.dep_edges_per_task, "count"},
+  };
+}
 
 }  // namespace pb

@@ -48,24 +48,9 @@ struct RunCheck {
   bool pass = false;
 };
 
-/// One closed-loop program.  run() is the timed part: every spawn of one
-/// program run and the barrier that ends it.
-class BatchProgram {
- public:
-  virtual ~BatchProgram() = default;
-  [[nodiscard]] virtual sigrt::Runtime& runtime() = 0;
-  [[nodiscard]] virtual sigrt::GroupId group() const = 0;
-  /// Resets the output so that a unit no body wrote fails the check.
-  virtual void prepare() = 0;
-  virtual void run(std::uint32_t unit, bool traced) = 0;
-  [[nodiscard]] virtual RunCheck check() = 0;
-  /// Spans one traced run records, for the span budget.
-  [[nodiscard]] virtual std::uint64_t spans_per_run() const = 0;
-};
-
 // --- listing1 ----------------------------------------------------------------
 
-class Listing1 final : public BatchProgram {
+class Listing1 {
  public:
   static constexpr std::size_t kW = 512;
   static constexpr std::size_t kH = 512;
@@ -88,12 +73,12 @@ class Listing1 final : public BatchProgram {
     group_ = rt_.create_group("sobel", 0.3);
   }
 
-  sigrt::Runtime& runtime() override { return rt_; }
-  sigrt::GroupId group() const override { return group_; }
-  void prepare() override { std::memcpy(out_.data(), blank_.data(), out_.size()); }
-  std::uint64_t spans_per_run() const override { return 2 * (kH - 2) + 2; }
+  sigrt::Runtime& runtime() { return rt_; }
+  sigrt::GroupId group() const { return group_; }
+  void prepare() { std::memcpy(out_.data(), blank_.data(), out_.size()); }
+  std::uint64_t spans_per_run() const { return 2 * (kH - 2) + 2; }
 
-  void run(std::uint32_t unit, bool traced) override {
+  void run(std::uint32_t unit, bool traced) {
     const std::uint8_t* in = img_.data();
     std::uint8_t* res = out_.data();
     for (std::size_t i = 1; i + 1 < kH; ++i) {
@@ -116,7 +101,7 @@ class Listing1 final : public BatchProgram {
     rt_.wait_group(group_);
   }
 
-  RunCheck check() override {
+  RunCheck check() {
     RunCheck c;
     c.units = check_rows(out_.data(), acc_.data(), app_.data(), kW, kH);
     const double psnr = sigrt::metrics::psnr_db({acc_.data(), acc_.size()},
@@ -160,7 +145,7 @@ struct Integrand {
   }
 };
 
-class NestedDc final : public BatchProgram {
+class NestedDc {
  public:
   static constexpr int kDepth = 14;
   static constexpr std::uint32_t kLeaves = 1u << kDepth;
@@ -183,20 +168,20 @@ class NestedDc final : public BatchProgram {
     group_ = rt_.create_group("quad", 0.5);
   }
 
-  sigrt::Runtime& runtime() override { return rt_; }
-  sigrt::GroupId group() const override { return group_; }
-  void prepare() override {
+  sigrt::Runtime& runtime() { return rt_; }
+  sigrt::GroupId group() const { return group_; }
+  void prepare() {
     std::fill(out_.begin(), out_.end(), std::numeric_limits<double>::quiet_NaN());
   }
-  std::uint64_t spans_per_run() const override { return 5ull * kLeaves + 2; }
+  std::uint64_t spans_per_run() const { return 5ull * kLeaves + 2; }
 
-  void run(std::uint32_t unit, bool traced) override {
+  void run(std::uint32_t unit, bool traced) {
     spawn_node(1, unit, traced);
     Scope b(traced, Kind::Barrier, unit, 0);
     rt_.wait_all();
   }
 
-  RunCheck check() override {
+  RunCheck check() {
     RunCheck c;
     c.units = check_leaves(out_.data(), acc_.data(), app_.data(), kLeaves);
     double sum = 0.0;
@@ -265,45 +250,23 @@ struct RunRecord {
   std::int64_t t1 = 0;
   double mj = 0.0;
   RunCheck check;
+  /// Table 2 terms and the policy's outcome shares, from the GroupReport.
   double ratio_diff = 0.0;
   double inversion = 0.0;
+  double approx_share = 0.0;
+  double dropped_share = 0.0;
   bool traced_phase = false;
   int seg = 0;
 };
 
-struct Counters {
-  sigrt::RuntimeStats rt;
-  sigrt::PoolStats pool;
-};
-
-Counters snapshot(sigrt::Runtime& rt) { return {rt.stats(), rt.pool_stats()}; }
-
 double ms(std::int64_t ns) { return static_cast<double>(ns) * 1e-6; }
-double us(std::int64_t ns) { return static_cast<double>(ns) * 1e-3; }
 double per(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
-/// Traced-run counter deltas, summed over the traced segments.
-struct Deltas {
-  double spawned = 0, steals = 0, inline_spawns = 0, dep_edges = 0, busy_s = 0, handoffs = 0;
-
-  void add(const Counters& a, const Counters& b) {
-    spawned += static_cast<double>(b.rt.spawned - a.rt.spawned);
-    steals += static_cast<double>(b.rt.steals - a.rt.steals);
-    inline_spawns += static_cast<double>(b.rt.inline_spawns - a.rt.inline_spawns);
-    dep_edges += static_cast<double>(b.rt.dep_edges - a.rt.dep_edges);
-    busy_s += b.rt.busy_s - a.rt.busy_s;
-    handoffs += static_cast<double>(b.pool.handoffs - a.pool.handoffs);
-  }
-};
-
-/// The measurement window is split into kSegments equal segments, each on a
-/// freshly set-up program and runtime, and timings are the median over
-/// segments: a segment disturbed from outside (CPU steal on a shared host)
-/// or by one runtime's thread placement moves that segment's figures, not
-/// the result.  setup_s is the median of the segments' set-ups.  A traced
-/// run traces the second half of the segments.
-constexpr int kSegments = 6;
-
+/// Runs `Program` (Listing1 or NestedDc) in a closed loop.  A program
+/// provides runtime(), group(), prepare() (resets the output so that a unit
+/// no body wrote fails the check), run(unit, traced) (the timed part: every
+/// spawn of one program run and the barrier that ends it), check(), and
+/// spans_per_run() (spans one traced run records, for the span budget).
 template <class Program>
 Result run_batch(const Options& o, const char* label) {
   Result r;
@@ -311,9 +274,8 @@ Result run_batch(const Options& o, const char* label) {
   std::vector<RunRecord> runs;
   runs.reserve(1 << 16);
   std::vector<trace::Span> spans;
-  Deltas d;
+  CoreDeltas d;
   unsigned workers = 0;
-  double ratio_knob = 0.0;
   std::uint32_t unit = 1;
   const auto seg_ns = static_cast<std::int64_t>(o.seconds * 1e9 / kSegments);
   for (int seg = 0; seg < kSegments; ++seg) {
@@ -332,11 +294,10 @@ Result run_batch(const Options& o, const char* label) {
       r.stamp.emplace_back("workers", std::to_string(workers));
       r.stamp.emplace_back("energy", rt.meter().name());
       r.stamp.emplace_back("policy", rt.policy_name());
-      ratio_knob = rt.group(prog->group()).ratio();
     }
     const bool traced_seg = o.trace && seg >= kSegments / 2;
     if (traced_seg) trace::arm(kTraceThreads, kSpansPerThread);
-    const Counters c0 = snapshot(rt);
+    const CoreCounters c0 = core_counters(rt);
 
     // Closed loop: the next run starts when the previous one is checked.
     const std::int64_t end = now_ns() + seg_ns;
@@ -357,13 +318,16 @@ Result run_batch(const Options& o, const char* label) {
       rec.mj = energy.joules() * 1e3;
       rec.check = prog->check();
       const sigrt::GroupReport rep = rt.group_report(prog->group());
+      const double tasks = static_cast<double>(rep.accurate + rep.approximate + rep.dropped);
       rec.ratio_diff = rep.ratio_diff();
       rec.inversion = rep.inversion_fraction;
+      rec.approx_share = per(static_cast<double>(rep.approximate), tasks);
+      rec.dropped_share = per(static_cast<double>(rep.dropped), tasks);
       rt.group(prog->group()).reset_stats();
       runs.push_back(rec);
     }
     if (traced_seg) {
-      d.add(c0, snapshot(rt));
+      d.add(c0, core_counters(rt));
       const std::vector<trace::Span> seg_spans = trace::collect();
       spans.insert(spans.end(), seg_spans.begin(), seg_spans.end());
     }
@@ -444,47 +408,37 @@ Result run_batch(const Options& o, const char* label) {
   r.note("  peak_rss_mb     %10.2f MB", rss);
   if (!o.trace) return r;
 
-  // Per-layer metrics: spans of the traced runs.
+  // Per-layer metrics: spans and counters of the traced runs.
   const BatchLayers L = analyze_runs(spans);
-  std::vector<double> lag_us;
-  std::vector<double> ratio_diff, inversion;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (!runs[i].traced_phase) continue;
-    ratio_diff.push_back(runs[i].ratio_diff);
-    inversion.push_back(runs[i].inversion);
-    if (i > 0 && runs[i - 1].seg == runs[i].seg) lag_us.push_back(us(runs[i].t0 - runs[i - 1].t1));
+  double ratio_diff = 0.0, inversion = 0.0, approx_share = 0.0, dropped_share = 0.0;
+  double traced_runs = 0.0;
+  for (const RunRecord& rec : runs) {
+    if (!rec.traced_phase) continue;
+    ratio_diff += rec.ratio_diff;
+    inversion += rec.inversion;
+    approx_share += rec.approx_share;
+    dropped_share += rec.dropped_share;
+    traced_runs += 1.0;
   }
-  const auto mean = [](const std::vector<double>& v) {
-    double s = 0.0;
-    for (const double x : v) s += x;
-    return v.empty() ? 0.0 : s / static_cast<double>(v.size());
-  };
-  const double traced_runs = static_cast<double>(ratio_diff.size());
-  const double spawned = d.spawned;
   const double wall = L.run_s * workers;
-  r.layer = {
-      {"stage.submit_us", median(L.spawn_us), "us"},
-      {"stage.queue_us_p50", percentile(L.queue_us, 0.5), "us"},
-      {"stage.queue_us_p99", percentile(L.queue_us, 0.99), "us"},
-      {"stage.body_accurate_us", median(L.body_acc_us), "us"},
-      {"stage.complete_us", median(L.tail_us), "us"},
-      {"stage.lag_us_p99", percentile(lag_us, 0.99), "us"},
-      {"core.busy_us_per_unit", per(d.busy_s * 1e6, traced_runs), "us"},
-      {"core.body_share", per(L.body_self_s, wall), "ratio"},
-      {"core.help_self_share", per(L.help_self_s, wall), "ratio"},
-      {"core.steals_per_ktask", per(1e3 * d.steals, spawned), "count"},
-      {"core.inline_spawns_per_ktask", per(1e3 * d.inline_spawns, spawned), "count"},
-      {"core.handoffs_per_kunit", per(1e3 * d.handoffs, traced_runs), "count"},
-      {"policy.ratio_diff", mean(ratio_diff), "ratio"},
-      {"policy.inversion", mean(inversion), "ratio"},
-      {"dep.edges_per_task", per(d.dep_edges, spawned), "count"},
-      {"serve.shed_share", 0.0, "ratio"},
-      {"serve.degraded_share", 0.0, "ratio"},
-      {"serve.perforated_share", 0.0, "ratio"},
-      {"serve.expired_share", 0.0, "ratio"},
-      {"serve.ratio_mean", ratio_knob, "ratio"},
-      {"net.protocol_errors", 0.0, "count"},
-  };
+  r.layer = layer_metrics({
+      .submit_us = median(L.spawn_us),
+      .queue_us_p50 = percentile(L.queue_us, 0.5),
+      .queue_us_p99 = percentile(L.queue_us, 0.99),
+      .body_accurate_us = median(L.body_acc_us),
+      .complete_us = median(L.tail_us),
+      .busy_us_per_unit = per(d.busy_s * 1e6, traced_runs),
+      .body_share = per(L.body_self_s, wall),
+      .help_self_share = per(L.help_self_s, wall),
+      .steals_per_ktask = per(1e3 * d.steals, d.spawned),
+      .inline_spawns_per_ktask = per(1e3 * d.inline_spawns, d.spawned),
+      .handoffs_per_kunit = per(1e3 * d.handoffs, traced_runs),
+      .ratio_diff = per(ratio_diff, traced_runs),
+      .inversion = per(inversion, traced_runs),
+      .approx_share = per(approx_share, traced_runs),
+      .dropped_share = per(dropped_share, traced_runs),
+      .dep_edges_per_task = per(d.dep_edges, d.spawned),
+  });
   const double traced_p50 = median(traced_ms);
   r.note("traced: %zu runs with spans (%zu spans, %llu dropped in the last segment), %zu runs in the traced half",
          L.runs, spans.size(), static_cast<unsigned long long>(trace::dropped()),

@@ -2,7 +2,7 @@
 //
 // Every workload checks what the program produced against answers computed
 // before timing starts: listing1 and nested-dc against serial accurate and
-// approximate references, unit by unit, and the wire workloads against the
+// approximate references, unit by unit, and serve-closed against the
 // checksum each response carries.  A unit that matches neither variant is a
 // failure.
 #pragma once

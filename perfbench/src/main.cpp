@@ -1,6 +1,6 @@
 // perfbench: the benchmark driver.
 //
-//   perfbench --workload <listing1|nested-dc|serve-calm|serve-burst|wire-pipeline>
+//   perfbench --workload <listing1|nested-dc|serve-closed>
 //             --seed <n> --seconds <s> --trace <0|1>
 //             [--trace-out <file>] [--commit <id>]
 //
@@ -25,7 +25,7 @@ namespace {
 int usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\n"
-               "usage: perfbench --workload <listing1|nested-dc|serve-calm|serve-burst|wire-pipeline>"
+               "usage: perfbench --workload <listing1|nested-dc|serve-closed>"
                " --seed <n> --seconds <s> --trace <0|1> [--trace-out <file>] [--commit <id>]\n",
                why);
   return 2;
@@ -81,12 +81,8 @@ int main(int argc, char** argv) {
       r = pb::run_listing1(o);
     } else if (o.workload == "nested-dc") {
       r = pb::run_nested_dc(o);
-    } else if (o.workload == "serve-burst") {
-      r = pb::run_serve_burst(o);
-    } else if (o.workload == "serve-calm") {
-      r = pb::run_serve_calm(o);
-    } else if (o.workload == "wire-pipeline") {
-      r = pb::run_wire_pipeline(o);
+    } else if (o.workload == "serve-closed") {
+      r = pb::run_serve_closed(o);
     } else {
       return usage(("unknown workload '" + o.workload + "'").c_str());
     }

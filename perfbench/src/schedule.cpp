@@ -1,55 +1,18 @@
 #include "schedule.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "support/rng.hpp"
 
 namespace pb {
 
-std::vector<Arrival> make_schedule(std::uint64_t seed, double seconds,
-                                   const BurstShape& shape, unsigned kinds,
-                                   unsigned inputs) {
+std::vector<Pick> make_picks(std::uint64_t seed, std::size_t count, unsigned kinds,
+                             unsigned inputs) {
   sigrt::support::Xoshiro256 rng(seed ^ 0x0a11ca7e5c4edull);
-  std::vector<Arrival> out;
-  double phase_start = 0.0;
-  bool burst = false;
-  while (phase_start < seconds) {
-    const double phase_end =
-        std::min(seconds, phase_start + (burst ? shape.burst_s : shape.calm_s));
-    const double rate = burst ? shape.burst_rate_hz : shape.calm_rate_hz;
-    // Poisson within the phase; memorylessness lets each phase restart its
-    // draw at the boundary with the new rate.
-    double t = phase_start;
-    while (rate > 0.0) {
-      t += -std::log(1.0 - rng.uniform()) / rate;
-      if (t >= phase_end) break;
-      Arrival a;
-      a.due_ns = static_cast<std::int64_t>(t * 1e9);
-      a.kind = static_cast<std::uint8_t>(rng.next() % kinds);
-      a.input = static_cast<std::uint16_t>(rng.next() % inputs);
-      out.push_back(a);
-    }
-    phase_start = phase_end;
-    burst = !burst;
+  std::vector<Pick> out(count);
+  for (Pick& p : out) {
+    p.kind = static_cast<std::uint8_t>(rng.next() % kinds);
+    p.input = static_cast<std::uint16_t>(rng.next() % inputs);
   }
   return out;
-}
-
-std::vector<std::int64_t> burst_ends(double seconds, const BurstShape& shape) {
-  std::vector<std::int64_t> out;
-  if (shape.burst_s <= 0.0) return out;
-  const double cycle = shape.calm_s + shape.burst_s;
-  for (double end = cycle; end <= seconds + 1e-9; end += cycle) {
-    out.push_back(static_cast<std::int64_t>(end * 1e9));
-  }
-  return out;
-}
-
-bool in_burst(std::int64_t t_ns, const BurstShape& shape) {
-  const double cycle = shape.calm_s + shape.burst_s;
-  const double t = static_cast<double>(t_ns) * 1e-9;
-  return std::fmod(t, cycle) >= shape.calm_s;
 }
 
 }  // namespace pb

@@ -1,39 +1,24 @@
-// Open-loop arrival schedule of the serve-burst workload.
+// Request sequence of the serve-closed workload.
 //
-// The offered rate alternates between a calm and a burst level; arrivals
-// within a phase are Poisson at that phase's rate.  The schedule is a pure
-// function of the seed and the shape, generated whole before timing starts,
-// so a slow server can never change what is offered to it.
+// The client sends requests in this order, cycling through it; each names a
+// request class and an input.  The sequence is a pure function of the seed,
+// generated whole before timing starts, so the server's speed never changes
+// what is asked of it, only how far into the sequence a run gets.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace pb {
 
-struct BurstShape {
-  double calm_s = 1.5;         ///< length of a calm phase
-  double burst_s = 1.0;        ///< length of a burst phase
-  double calm_rate_hz = 0.0;   ///< total offered rate while calm
-  double burst_rate_hz = 0.0;  ///< total offered rate during a burst
-};
-
-struct Arrival {
-  std::int64_t due_ns = 0;  ///< offset from the start of the schedule
+struct Pick {
   std::uint8_t kind = 0;    ///< request class, in [0, kinds)
   std::uint16_t input = 0;  ///< input index, in [0, inputs)
 };
 
-/// Arrivals over [0, seconds): phases calm, burst, calm, burst, ...
-[[nodiscard]] std::vector<Arrival> make_schedule(std::uint64_t seed, double seconds,
-                                                 const BurstShape& shape,
-                                                 unsigned kinds, unsigned inputs);
-
-/// End times (ns offsets) of the bursts that end before `seconds`.
-[[nodiscard]] std::vector<std::int64_t> burst_ends(double seconds,
-                                                   const BurstShape& shape);
-
-/// True when offset `t_ns` falls inside a burst phase.
-[[nodiscard]] bool in_burst(std::int64_t t_ns, const BurstShape& shape);
+/// `count` picks, classes and inputs uniform.
+[[nodiscard]] std::vector<Pick> make_picks(std::uint64_t seed, std::size_t count,
+                                           unsigned kinds, unsigned inputs);
 
 }  // namespace pb

@@ -1,6 +1,6 @@
 // Self-tests of the benchmark's own logic: percentiles and their sample
-// counts, schedule determinism, span self times and the closure arithmetic,
-// and output checks that must reject a deliberately wrong result.
+// counts, request-sequence determinism, span self times and the closure
+// arithmetic, and output checks that must reject a deliberately wrong result.
 //
 //   perfbench_selftest <scratch-file>   (the Chrome dump is written there)
 //
@@ -43,36 +43,26 @@ void test_percentiles() {
   expect(pb::samples_beyond(0, 0.5) == 0, "no samples");
 }
 
-void test_schedule() {
-  const pb::BurstShape shape{.calm_s = 1.5, .burst_s = 1.0, .calm_rate_hz = 2000.0,
-                             .burst_rate_hz = 8000.0};
-  const auto a = pb::make_schedule(7, 10.0, shape, 3, 16);
-  const auto b = pb::make_schedule(7, 10.0, shape, 3, 16);
-  const auto c = pb::make_schedule(8, 10.0, shape, 3, 16);
-  bool same = a.size() == b.size();
-  for (std::size_t i = 0; same && i < a.size(); ++i) {
-    same = a[i].due_ns == b[i].due_ns && a[i].kind == b[i].kind && a[i].input == b[i].input;
-  }
-  expect(same, "one seed gives one schedule");
-  bool differs = a.size() != c.size();
-  for (std::size_t i = 0; !differs && i < a.size(); ++i) differs = a[i].due_ns != c[i].due_ns;
-  expect(differs, "another seed gives another schedule");
-  bool ordered = true, in_range = true;
-  std::size_t burst = 0, calm = 0;
+void test_picks() {
+  const auto a = pb::make_picks(7, 30000, 3, 16);
+  const auto b = pb::make_picks(7, 30000, 3, 16);
+  const auto c = pb::make_picks(8, 30000, 3, 16);
+  bool same = a.size() == 30000 && b.size() == a.size();
+  bool differs = false, in_range = true;
+  std::size_t per_kind[3] = {};
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ordered = ordered && (i == 0 || a[i - 1].due_ns <= a[i].due_ns);
-    in_range = in_range && a[i].due_ns >= 0 && a[i].due_ns < 10'000'000'000 &&
-               a[i].kind < 3 && a[i].input < 16;
-    (pb::in_burst(a[i].due_ns, shape) ? burst : calm)++;
+    same = same && a[i].kind == b[i].kind && a[i].input == b[i].input;
+    differs = differs || a[i].kind != c[i].kind || a[i].input != c[i].input;
+    in_range = in_range && a[i].kind < 3 && a[i].input < 16;
+    if (a[i].kind < 3) ++per_kind[a[i].kind];
   }
-  expect(ordered, "arrivals are in due order");
-  expect(in_range, "arrivals fall in the window, kinds and inputs in range");
-  // 4 bursts of 1 s at 8000/s, 4 calm phases of 1.5 s at 2000/s: 32000 and
-  // 12000 expected; Poisson spread is about 1%.
-  expect(std::fabs(static_cast<double>(burst) - 32000.0) < 1000.0, "burst phases carry the burst rate");
-  expect(std::fabs(static_cast<double>(calm) - 12000.0) < 600.0, "calm phases carry the calm rate");
-  const auto ends = pb::burst_ends(10.0, shape);
-  expect(ends.size() == 4 && ends[0] == 2'500'000'000, "bursts end every 2.5 s");
+  expect(same, "one seed gives one request sequence");
+  expect(differs, "another seed gives another request sequence");
+  expect(in_range, "kinds and inputs in range");
+  // 10000 expected per class; the binomial spread is about 80.
+  bool balanced = true;
+  for (const std::size_t n : per_kind) balanced = balanced && n > 9500 && n < 10500;
+  expect(balanced, "classes are drawn uniformly");
 }
 
 pb::trace::Span span(pb::trace::Kind k, std::int64_t t0, std::int64_t t1, std::uint64_t id,
@@ -95,6 +85,10 @@ void test_self_times_and_closure() {
   const auto self = pb::trace::self_times(s);
   expect(self[0] == 1000 - 50 - 40 - 900, "run self time excludes its children");
   expect(self[5] == 600 - 100, "body self time excludes its help span");
+  expect(std::fabs(pb::self_seconds(s, Kind::BodyAccurate) +
+                   pb::self_seconds(s, Kind::BodyApprox) - 800e-9) < 1e-15 &&
+             std::fabs(pb::self_seconds(s, Kind::Help) - 100e-9) < 1e-15,
+         "self seconds sum the self times of one kind");
   const pb::BatchLayers L = pb::analyze_runs(s);
   expect(L.runs == 1 && L.closure_fail == 0, "spawn phase + barrier close the run");
   expect(L.tail_us.size() == 1 && std::fabs(L.tail_us[0] - 0.1) < 1e-9,
@@ -107,19 +101,18 @@ void test_self_times_and_closure() {
   s[0].t1 = s[3].t1 = 30'000;
   expect(pb::analyze_runs(s).closure_fail == 1, "an uncovered gap fails the closure");
 
-  // A request: due 0, sent 100, admitted 300, body 400..900, read 1000.
+  // A request: sent 0, admitted 300, body 400..900, read 1000.
   std::vector<pb::trace::Span> r = {
       span(Kind::Request, 0, 1000, 10, 0, 9, 0),
-      span(Kind::Send, 0, 100, 11, 10, 9, 0),
       span(Kind::Server, 300, 900, 12, 10, 9, 0),
       span(Kind::BodyAccurate, 400, 900, 13, 0, 9, 0),
   };
   pb::Stages st = pb::analyze_requests(r);
   expect(st.complete == 1 && st.closure_fail == 0, "request stages close");
-  expect(st.in_us.size() == 1 && std::fabs(st.in_us[0] - 0.2) < 1e-9, "net in = admission - send");
+  expect(st.in_us.size() == 1 && std::fabs(st.in_us[0] - 0.3) < 1e-9, "net in = admission - send");
   expect(std::fabs(st.queue_us[0] - 0.1) < 1e-9 && std::fabs(st.out_us[0] - 0.1) < 1e-9,
          "queue and net out");
-  r[1].t1 = 50'000;  // sent 50 us after the server admitted it: out of order
+  r[0].t0 = 50'000;  // sent 50 us after the server admitted it: out of order
   expect(pb::analyze_requests(r).closure_fail == 1, "a negative stage fails the closure");
 }
 
@@ -133,7 +126,7 @@ void test_tracer(const char* dump_path) {
     pb::trace::end(inner);
     pb::trace::end(outer);
     pb::trace::record(Kind::Server, 5, 9, 1, 0, outer);
-    for (int i = 0; i < 3; ++i) pb::trace::record(Kind::Send, 1, 2, 1, 0, 0);  // 1 fits
+    for (int i = 0; i < 3; ++i) pb::trace::record(Kind::Request, 1, 2, 1, 0, 0);  // 1 fits
   });
   t.join();
   const auto spans = pb::trace::collect();
@@ -216,7 +209,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   test_percentiles();
-  test_schedule();
+  test_picks();
   test_self_times_and_closure();
   test_tracer(argv[1]);
   test_checks();

@@ -91,7 +91,6 @@ const char* name(Kind k) noexcept {
     case Kind::Help: return "help";
     case Kind::Request: return "request";
     case Kind::Server: return "server";
-    case Kind::Send: return "send";
   }
   return "?";
 }

@@ -29,9 +29,8 @@ enum class Kind : std::uint8_t {
   BodyApprox,    ///< the approximate variant
   Barrier,       ///< top-level wait on the spawning thread
   Help,          ///< in-task wait_all (the helping barrier)
-  Request,       ///< one request: due time to response read
+  Request,       ///< one request: send to response read
   Server,        ///< admission to completion, from the response's server_ns
-  Send,          ///< due time to the write that sent a request (generator lag)
 };
 
 [[nodiscard]] const char* name(Kind k) noexcept;

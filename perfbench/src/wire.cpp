@@ -1,26 +1,21 @@
-// Wire workloads: serve::Server behind net::NetServer in this process,
-// driven over loopback TCP by the benchmark's own client threads.
+// The served workload: serve::Server behind net::NetServer in this process,
+// driven over loopback TCP by the benchmark's own client thread.
 //
-//   serve-burst    open loop.  A seeded Poisson schedule of sobel, dct and
-//                  kmeans requests (Degradable classes, deadlines 25/25/50
-//                  ms, QoS controller on, 2 workers) whose total rate
-//                  alternates between 0.5 s at a calm level (about half the
-//                  accurate capacity of 2 workers) and 1.5 s at a burst
-//                  level (about 1.7 times it).  The whole served path runs:
-//                  decode, admit, EDF, spawn, LQH, body, flush.  Calm phases
-//                  measure the fast path and worker wake-up; bursts make the
-//                  controller degrade, perforate and recover.  Kernels take
-//                  most worker time.
-//   wire-pipeline  closed loop.  2 connections, each keeping 64 requests in
-//                  flight, against an allocation-free FNV kernel on a 64 B
-//                  payload (one Critical class, controller off, 2 workers).
-//                  Per-request front-door work is nearly all of the cost:
-//                  framing, pollers, eventfd hand-off, admission, dispatch,
-//                  spawn.  No approximation, no controller.
+//   serve-closed  closed loop.  One connection keeps kWindow requests in
+//                 flight, sending a new request as each answer is read:  a
+//                 seeded sequence of sobel, dct and kmeans requests
+//                 (Degradable classes, deadlines 25/25/50 ms, QoS controller
+//                 on, 2 workers).  The whole served path runs per request:
+//                 framing, poller, decode, admission, EDF dispatch, spawn,
+//                 LQH, body, flush; the controller evaluates every epoch.
+//                 The window keeps the backlog below the controller's
+//                 watermarks and latency far below the deadlines, so the
+//                 served fast path is measured, and a change that makes the
+//                 controller degrade, shed or perforate shows in the shares.
+//                 Kernels take most of the worker time.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,7 +29,6 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <unordered_set>
 #include <vector>
 
 #include "apps/dct.hpp"
@@ -61,7 +55,6 @@ using trace::Kind;
 namespace net = sigrt::net;
 namespace serve = sigrt::serve;
 
-double us(std::int64_t ns) { return static_cast<double>(ns) * 1e-3; }
 double ms(std::int64_t ns) { return static_cast<double>(ns) * 1e-6; }
 double per(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
@@ -85,7 +78,6 @@ class Socket {
   }
   ~Socket() { ::close(fd_); }
   Socket(const Socket&) = delete;
-  [[nodiscard]] int fd() const noexcept { return fd_; }
   Socket& operator=(const Socket&) = delete;
 
   /// Writes all of `buf`; throws on a broken connection.
@@ -151,7 +143,7 @@ net::KernelHandler make_handler(Compute compute, std::uint32_t kind, double sign
     if (!decode_tag(p, n, &tag)) return;
     BodyResult res;
     res.t0 = now_ns();
-    res.checksum = compute(p, n, tag.input, approx);
+    res.checksum = compute(tag.input, approx);
     res.t1 = now_ns();
     if (tag.traced) {
       trace::record(approx ? Kind::BodyApprox : Kind::BodyAccurate, res.t0, res.t1,
@@ -163,12 +155,6 @@ net::KernelHandler make_handler(Compute compute, std::uint32_t kind, double sign
   };
   return h;
 }
-
-/// A traced request records its handler span while the run goes on and
-/// three client spans, on one thread, after it: trace a request only while
-/// fewer handler spans than a quarter of one thread's buffer are recorded,
-/// so the client spans fit too.
-constexpr std::uint64_t kRequestSpanBudget = kSpansPerThread / 4;
 
 /// Server + front door.  Shutdown order is the serve tier's contract: drain
 /// the server, then stop the pollers, then destroy the front door first.
@@ -186,123 +172,31 @@ struct Served {
   }
 };
 
-/// Records the client-side spans of one answered request.  `server_ns` is
-/// the response header's admission-to-completion time; admission is taken
-/// as body end minus it.
-void record_request(std::uint32_t unit, std::uint32_t key, std::int64_t due,
-                    std::int64_t sent, std::int64_t read, std::int64_t server_ns,
-                    std::int64_t body_end) {
-  const std::uint64_t req = trace::record(Kind::Request, due, read, unit, key, 0);
-  trace::record(Kind::Send, due, sent, unit, key, req);
-  if (body_end != 0) {
-    trace::record(Kind::Server, body_end - server_ns, body_end, unit, key, req);
-  }
-}
-
-struct ServeCounters {
-  sigrt::RuntimeStats rt;
-  sigrt::PoolStats pool;
-  std::uint64_t submitted = 0, shed = 0, degraded = 0, perforated = 0, expired = 0;
-  std::uint64_t served = 0, served_accurate = 0;
-  std::uint64_t protocol_errors = 0;
-};
-
-ServeCounters snapshot(Served& s) {
-  ServeCounters c;
-  c.rt = s.srv->runtime().stats();
-  c.pool = s.srv->runtime().pool_stats();
-  for (const serve::ClassId cls : s.classes) {
-    const serve::ClassReport r = s.srv->class_report(cls);
-    c.submitted += r.submitted;
-    c.shed += r.shed;
-    c.degraded += r.degraded;
-    c.perforated += r.perforated;
-    c.expired += r.expired;
-    c.served += r.served();
-    c.served_accurate += r.served_accurate;
-  }
-  c.protocol_errors = s.net->counters().protocol_errors;
-  return c;
-}
-
-/// Per-layer metrics shared by both wire workloads.
-void layer_metrics(Result& r, const Stages& st, const ServeCounters& c0,
-                   const ServeCounters& c1, double traced_s, unsigned workers,
-                   std::uint64_t attempted, double ratio_mean) {
-  const double spawned = static_cast<double>(c1.rt.spawned - c0.rt.spawned);
-  const double served = static_cast<double>(c1.served - c0.served);
-  const double att = static_cast<double>(attempted);
-  const double achieved =
-      per(static_cast<double>(c1.served_accurate - c0.served_accurate), served);
-  r.layer = {
-      {"stage.submit_us", median(st.in_us), "us"},
-      {"stage.queue_us_p50", percentile(st.queue_us, 0.5), "us"},
-      {"stage.queue_us_p99", percentile(st.queue_us, 0.99), "us"},
-      {"stage.body_accurate_us", median(st.body_acc_us), "us"},
-      {"stage.complete_us", median(st.out_us), "us"},
-      {"stage.lag_us_p99", percentile(st.lag_us, 0.99), "us"},
-      {"core.busy_us_per_unit", per((c1.rt.busy_s - c0.rt.busy_s) * 1e6, served), "us"},
-      {"core.body_share", per(st.body_s, workers * traced_s), "ratio"},
-      {"core.help_self_share", 0.0, "ratio"},
-      {"core.steals_per_ktask", per(1e3 * static_cast<double>(c1.rt.steals - c0.rt.steals), spawned), "count"},
-      {"core.inline_spawns_per_ktask", per(1e3 * static_cast<double>(c1.rt.inline_spawns - c0.rt.inline_spawns), spawned), "count"},
-      {"core.handoffs_per_kunit", per(1e3 * static_cast<double>(c1.pool.handoffs - c0.pool.handoffs), served), "count"},
-      {"policy.ratio_diff", std::fabs(ratio_mean - achieved), "ratio"},
-      {"policy.inversion", 0.0, "ratio"},
-      {"dep.edges_per_task", per(static_cast<double>(c1.rt.dep_edges - c0.rt.dep_edges), spawned), "count"},
-      {"serve.shed_share", per(static_cast<double>(c1.shed - c0.shed), att), "ratio"},
-      {"serve.degraded_share", per(static_cast<double>(c1.degraded - c0.degraded), att), "ratio"},
-      {"serve.perforated_share", per(static_cast<double>(c1.perforated - c0.perforated), att), "ratio"},
-      {"serve.expired_share", per(static_cast<double>(c1.expired - c0.expired), att), "ratio"},
-      {"serve.ratio_mean", ratio_mean, "ratio"},
-      {"net.protocol_errors", static_cast<double>(c1.protocol_errors - c0.protocol_errors), "count"},
-  };
-  r.note("traced: %zu requests with every span (%llu dropped spans)", st.complete,
-         static_cast<unsigned long long>(trace::dropped()));
-  r.note("  gen.lag_us_p99         %10.3f us", percentile(st.lag_us, 0.99));
-  r.note("  net.in_us              %10.3f us  median send -> admission", median(st.in_us));
-  r.note("  serve.queue_us_p50     %10.3f us  admission -> body start", percentile(st.queue_us, 0.5));
-  r.note("  serve.queue_us_p99     %10.3f us", percentile(st.queue_us, 0.99));
-  r.note("  apps.accurate_body_us  %10.3f us  (n=%zu)", median(st.body_acc_us), st.body_acc_us.size());
-  r.note("  apps.approx_body_us    %10.3f us  (n=%zu)", median(st.body_app_us), st.body_app_us.size());
-  r.note("  net.out_us             %10.3f us  median body end -> response read", median(st.out_us));
-  r.note("  serve.busy_us_per_req  %10.3f us", per((c1.rt.busy_s - c0.rt.busy_s) * 1e6, served));
-  r.note("  closure: lag + net.in + serve.queue + body + net.out = request, no stage below "
-         "-20 us, on %zu of %zu requests (needs 99.9%%)", st.complete - st.closure_fail, st.complete);
-  if (!closes(st.complete, st.closure_fail)) r.valid = false;
-}
-
-// --- serve-burst ---------------------------------------------------------------
-
 constexpr unsigned kKinds = 3;
 constexpr unsigned kInputs = 16;
 constexpr const char* kKindNames[kKinds] = {"sobel", "dct", "kmeans"};
 constexpr double kDeadlineMs[kKinds] = {25.0, 25.0, 50.0};
-/// Offered load, fixed constants of the workload (not derived from a timing
-/// of the code under test).  Each accurate body takes about 100 us alone on
-/// a 4-vCPU 2.1 GHz x86-64 host but about 180 us under the workload's own
-/// load (the traced run reports it), so 2 workers serve about 11k req/s
-/// accurately; calm is half of that and a burst 1.7 times it.  Rates set
-/// from the bodies' cost alone (9k and 30k req/s) left no headroom: on a
-/// host slowed by CPU steal the server perforated up to 64% of the
-/// requests and the generator fell behind.  Bursts carry
-/// about 90% of the requests: when calm phases carry a third or more, the
-/// median falls in the gap between the calm and the burst latency modes and
-/// swings by half from run to run.
-constexpr BurstShape kShape{.calm_s = 0.5, .burst_s = 1.5, .calm_rate_hz = 5500.0,
-                            .burst_rate_hz = 19000.0};
-/// serve-calm: a steady rate, no bursts, in 2 s cycles: the served path
-/// without the controller's ladder.  Each body repeats its kernel
-/// kCalmRepeats times (about 2 ms alone), and the rate keeps 2 workers about
-/// a third busy.  At 100 us bodies the host's scheduling delays (up to a few
-/// hundred us on a shared 4-vCPU host) moved the median latency by a third
-/// between runs; against 2 ms of work per request they move it far less.
-constexpr unsigned kCalmRepeats = 20;
-constexpr BurstShape kCalmShape{.calm_s = 2.0, .burst_s = 0.0, .calm_rate_hz = 300.0,
-                                .burst_rate_hz = 0.0};
-/// A run whose generator sent its p99 request later than this after its due
-/// time measured the generator, not the server: it is reported invalid.
-constexpr double kMaxLagP99Us = 5000.0;
+constexpr unsigned kWorkers = 2;
+/// Requests in flight on the connection (a power of two: the low bits of a
+/// request id name its slot).  Two per worker: each worker has a request
+/// queued behind the one it runs, so workers do not park between requests
+/// and the backlog (4) stays at the controller's low watermark.
+constexpr unsigned kWindow = 4;
+constexpr std::uint32_t kSlotBits = 2;
+static_assert(kWindow == 1u << kSlotBits);
+/// Each body repeats its kernel this many times (about 0.5 ms per request
+/// under the workload's own load on a 4-vCPU 2.1 GHz x86-64 host).  Against
+/// that much work per request, the host's scheduling delays move the
+/// latency far less than against one kernel (about 0.1 ms).
+constexpr unsigned kRepeats = 5;
+/// Length of the seeded request sequence the client cycles through.
+constexpr std::size_t kPicks = std::size_t{1} << 16;
+/// Latency samples kept per segment, reserved before timing.
+constexpr std::size_t kMaxSamples = std::size_t{1} << 20;
+/// A traced request records its handler span while the segment runs and two
+/// client spans, on one thread, after it: trace a request only while fewer
+/// spans than a quarter of one thread's buffer are recorded.
+constexpr std::uint64_t kRequestSpanBudget = kSpansPerThread / 4;
 
 /// The approximate kmeans answer is one assignment pass over half the
 /// points, as the approximate sobel and dct answers transform a thumbnail:
@@ -319,16 +213,16 @@ sigrt::apps::kmeans::Options kmeans_options(std::uint64_t seed, bool approx) {
 }
 
 /// Seeded request inputs and their precomputed accurate/approximate answers.
-struct BurstInputs {
+struct ServeInputs {
   std::vector<sigrt::support::Image> sobel, sobel_thumb, dct, dct_thumb;
   std::vector<std::uint64_t> kmeans_seed;
   std::array<std::array<std::uint64_t, kInputs>, kKinds> acc{}, app{};
 
-  explicit BurstInputs(std::uint64_t seed) {
+  explicit ServeInputs(std::uint64_t seed) {
     sigrt::support::Xoshiro256 rng(seed ^ 0xb0b5ull);
     for (unsigned i = 0; i < kInputs; ++i) {
       // Input sizes give the three accurate bodies about equal cost, so
-      // calm-phase latency has one mode, not one per request class.
+      // latency has one mode, not one per request class.
       sobel.push_back(sigrt::support::synthetic_image(320, 320, rng.next()));
       sobel_thumb.push_back(sigrt::support::synthetic_image(160, 160, rng.next()));
       dct.push_back(sigrt::support::synthetic_image(72, 72, rng.next()));
@@ -340,7 +234,7 @@ struct BurstInputs {
         acc[k][i] = compute(k, i, false);
         app[k][i] = compute(k, i, true);
         if (acc[k][i] == app[k][i]) {
-          throw std::logic_error("serve-burst: accurate and approximate answers coincide");
+          throw std::logic_error("serve-closed: accurate and approximate answers coincide");
         }
       }
     }
@@ -366,10 +260,10 @@ struct BurstInputs {
   }
 };
 
-std::unique_ptr<Served> start_burst_server(const BurstInputs& inputs, unsigned repeats) {
+std::unique_ptr<Served> start_server(const ServeInputs& inputs) {
   auto s = std::make_unique<Served>();
   serve::ServerOptions so;
-  so.runtime.workers = 2;
+  so.runtime.workers = kWorkers;
   so.epoch_ms = 10.0;
   so.dispatcher_threads = 1;
   s->srv = std::make_unique<serve::Server>(so);
@@ -379,26 +273,24 @@ std::unique_ptr<Served> start_burst_server(const BurstInputs& inputs, unsigned r
     cfg.criticality = serve::Criticality::Degradable;
     cfg.qos.deadline_ns = kDeadlineMs[k] * 1e6;
     cfg.qos.quality_floor = 0.05;
-    // Tight watermarks make the controller regulate by queue depth.  With
-    // looser ones (64/16) it regulates by p99, and the median latency and
-    // the accurate share follow its degrade/recover sawtooth, which moves
-    // with the host's spare capacity from run to run.
     cfg.qos.backlog_high = 16;
     cfg.qos.backlog_low = 4;
     cfg.max_in_flight = 256;
-    cfg.shed_expired = true;
+    // A late request is served late, not refused: a host stall shows in the
+    // latency, and no request of a calm closed loop fails for it.
+    cfg.shed_expired = false;
     s->classes.push_back(s->srv->register_class(cfg));
   }
   net::NetServerOptions no;
   no.pollers = 1;
   s->net = std::make_unique<net::NetServer>(*s->srv, no);
-  const BurstInputs* in = &inputs;
+  const ServeInputs* in = &inputs;
   for (unsigned k = 0; k < kKinds; ++k) {
     s->net->register_kernel(
         k, make_handler(
-               [in, k, repeats](const std::uint8_t*, std::size_t, std::uint16_t input,
-                                bool approx) {
-                 for (unsigned i = 1; i < repeats; ++i) (void)in->compute(k, input % kInputs, approx);
+               [in, k](std::uint16_t input, bool approx) {
+                 // The tag comes off the wire: keep its input in range.
+                 for (unsigned i = 1; i < kRepeats; ++i) (void)in->compute(k, input % kInputs, approx);
                  return in->compute(k, input % kInputs, approx);
                },
                k, 0.5));
@@ -407,21 +299,20 @@ std::unique_ptr<Served> start_burst_server(const BurstInputs& inputs, unsigned r
   return s;
 }
 
-/// Sends `count` requests over `sock`, `window` at a time, and waits for
+/// Sends `count` requests over `sock`, kWindow at a time, and waits for
 /// every answer.  Warms pools, buffers and caches before timing.
-void warm_up(const Socket& sock, const Served& s, unsigned count, unsigned window,
-             unsigned kinds, std::size_t payload_bytes) {
+void warm_up(const Socket& sock, const Served& s, unsigned count) {
   std::vector<std::uint8_t> buf;
-  std::vector<std::uint8_t> payload(payload_bytes, 0);
+  std::uint8_t payload[kRequestPrefixBytes];
   net::FrameReader reader;
   unsigned sent = 0, got = 0;
   const std::int64_t give_up = now_ns() + 20'000'000'000;
   while (got < count) {
     buf.clear();
-    while (sent < count && sent - got < window) {
-      const unsigned k = sent % kinds;
-      encode_tag(payload.data(), RequestTag{0, static_cast<std::uint16_t>(sent), false});
-      append_request(buf, sent, s.classes[k], k, payload.data(), payload.size());
+    while (sent < count && sent - got < kWindow) {
+      const unsigned k = sent % kKinds;
+      encode_tag(payload, RequestTag{0, static_cast<std::uint16_t>(sent % kInputs), false});
+      append_request(buf, sent, s.classes[k], k, payload, sizeof payload);
       ++sent;
     }
     if (!buf.empty()) sock.write_all(buf);
@@ -432,616 +323,380 @@ void warm_up(const Socket& sock, const Served& s, unsigned count, unsigned windo
   }
 }
 
-Result run_serve(const Options& o, const BurstShape& shape, unsigned repeats, const char* label) {
-  Result r;
-  std::unique_ptr<BurstInputs> inputs;
-  std::unique_ptr<Served> served;
-  std::unique_ptr<Socket> sock;
-  std::vector<Arrival> sched;
-  std::vector<double> setups;
-  for (int s = 0; s < kSetups; ++s) {
-    sock.reset();
-    served.reset();
-    inputs.reset();
-    const std::int64_t t0 = now_ns();
-    inputs = std::make_unique<BurstInputs>(o.seed);
-    sched = make_schedule(o.seed, o.seconds, shape, kKinds, kInputs);
-    served = start_burst_server(*inputs, repeats);
-    sock = std::make_unique<Socket>(served->net->port());
-    warm_up(*sock, *served, 1500 / repeats, 16, kKinds, kRequestPrefixBytes);
-    setups.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
-  }
-  sigrt::Runtime& rt = served->srv->runtime();
-  r.stamp.emplace_back("workers", "2");
-  const std::string meter_name = rt.meter().name();
-  r.stamp.emplace_back("energy", meter_name);
-  r.stamp.emplace_back("policy", rt.policy_name());
-  if (o.trace) trace::arm(kTraceThreads, kSpansPerThread);
+/// Runtime, server and front-door counters, for deltas over a segment.
+struct ServeCounters {
+  CoreCounters core;
+  std::uint64_t submitted = 0, shed = 0, degraded = 0, perforated = 0, expired = 0,
+                timed_out = 0;
+  std::uint64_t served = 0, served_accurate = 0, served_approximate = 0;
+  std::uint64_t protocol_errors = 0;
+  double inversion = 0.0;  ///< mean over the classes' task groups
+};
 
-  const std::size_t n = sched.size();
-  const std::int64_t split_ns =
-      o.trace ? static_cast<std::int64_t>(o.seconds * 0.5e9)
-              : static_cast<std::int64_t>(o.seconds * 1e9) + 1;
-  std::vector<std::int64_t> sent_ns(n, 0), read_ns(n, 0), server_ns(n, 0), body_end(n, 0);
-  std::vector<Verdict> verdict(n, Verdict::Wrong);
-  std::vector<std::uint8_t> answered(n, 0);
-  // Controller ratio knobs, sampled every 10 ms while the schedule runs.
-  struct Sample {
-    std::int64_t t;
-    double ratio;  ///< mean over classes
-    bool full;     ///< every class at ratio 1 and no perforation
+ServeCounters snapshot(const Served& s) {
+  ServeCounters c;
+  sigrt::Runtime& rt = s.srv->runtime();
+  c.core = core_counters(rt);
+  for (const serve::ClassId cls : s.classes) {
+    const serve::ClassReport r = s.srv->class_report(cls);
+    c.submitted += r.submitted;
+    c.shed += r.shed;
+    c.degraded += r.degraded;
+    c.perforated += r.perforated;
+    c.expired += r.expired;
+    c.timed_out += r.timed_out;
+    c.served += r.served();
+    c.served_accurate += r.served_accurate;
+    c.served_approximate += r.served_approximate;
+  }
+  std::size_t groups = 0;
+  for (const sigrt::GroupReport& g : rt.all_group_reports()) {
+    if (g.name.rfind("serve/", 0) != 0) continue;
+    c.inversion += g.inversion_fraction;
+    ++groups;
+  }
+  c.inversion = per(c.inversion, static_cast<double>(groups));
+  c.protocol_errors = s.net->counters().protocol_errors;
+  return c;
+}
+
+/// Counter deltas summed over the traced segments.
+struct ServeDeltas {
+  CoreDeltas core;
+  double submitted = 0, shed = 0, degraded = 0, perforated = 0, expired = 0, timed_out = 0;
+  double served = 0, served_accurate = 0, served_approximate = 0;
+  double inversion = 0;  ///< summed per segment; divide by the segment count
+
+  void add(const ServeCounters& a, const ServeCounters& b) {
+    const auto d = [](std::uint64_t x, std::uint64_t y) { return static_cast<double>(y - x); };
+    core.add(a.core, b.core);
+    submitted += d(a.submitted, b.submitted);
+    shed += d(a.shed, b.shed);
+    degraded += d(a.degraded, b.degraded);
+    perforated += d(a.perforated, b.perforated);
+    expired += d(a.expired, b.expired);
+    timed_out += d(a.timed_out, b.timed_out);
+    served += d(a.served, b.served);
+    served_accurate += d(a.served_accurate, b.served_accurate);
+    served_approximate += d(a.served_approximate, b.served_approximate);
+    inversion += b.inversion;
+  }
+};
+
+/// What one segment of the closed loop measured.
+struct Segment {
+  std::vector<double> lat_ms;  ///< correct answers, send to read
+  std::uint64_t sent = 0, accurate = 0, approx = 0, refused = 0, wrong = 0, missing = 0;
+  std::uint64_t done_in_window = 0;  ///< correct answers read before the stop time
+  double window_s = 0.0;             ///< first send to the last of those reads
+  double joules = 0.0;               ///< modeled energy, first send to last read
+  double ratio_mean = 0.0;           ///< controller knob, mean over 10 ms samples
+  bool broken = false;
+  /// Traced requests' client-side times, for spans recorded after the
+  /// segment (when every handler span is in).
+  struct Traced {
+    std::uint32_t unit, kind;
+    std::int64_t sent, read, server_ns, body_end;
   };
-  std::vector<Sample> samples;
-  samples.reserve(static_cast<std::size_t>(o.seconds * 100) + 16);
+  std::vector<Traced> traced;
+};
+
+/// Drives one connection for `seconds`: keeps kWindow requests in flight,
+/// checks every answer against the precomputed answers for its input, and
+/// after the stop time collects what is outstanding.  Picks continue from
+/// `*next_pick`; units (request ids in spans) from `*next_unit`.
+Segment run_segment(const Socket& sock, const Served& s, const ServeInputs& in,
+                    const std::vector<Pick>& picks, std::size_t* next_pick,
+                    std::uint32_t* next_unit, double seconds, bool traced) {
+  Segment out;
+  out.lat_ms.reserve(kMaxSamples);
+  if (traced) out.traced.reserve(kRequestSpanBudget);
+  struct Slot {
+    std::uint32_t id = 0, unit = 0;
+    Pick pick;
+    std::int64_t sent = 0;
+    bool traced = false;
+  };
+  std::array<Slot, kWindow> slots{};
+  std::array<unsigned, kWindow> fresh{};
+  unsigned nfresh = 0, inflight = 0;
+  std::uint32_t seq = 0;
   std::vector<std::uint8_t> buf;
-  buf.reserve(1 << 16);
+  buf.reserve(kWindow * 64);
   std::uint8_t payload[kRequestPrefixBytes];
   net::FrameReader reader;
-  ServeCounters c_split{};
-  bool split_taken = !o.trace;
-  double untraced_j = 0.0;
-  std::size_t next = 0, got = 0;
-  std::uint64_t stray = 0;
-  bool broken = false;
 
-  // One thread sends, reads and samples: it sleeps in ppoll until the next
-  // request is due, the next sample is due, or an answer arrives.  A 1 us
-  // timer slack keeps the wake-ups on schedule.
-  prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
-  const std::int64_t start = now_ns() + 2'000'000;  // first due time
-  const std::int64_t give_up = start + static_cast<std::int64_t>(o.seconds * 1e9) + 5'000'000'000;
-  const ServeCounters c_start = snapshot(*served);
-  const sigrt::energy::Scope energy_all(rt.meter());
-  std::int64_t next_sample = start;
+  const auto enqueue = [&](unsigned slot) {
+    Slot& sl = slots[slot];
+    sl.pick = picks[(*next_pick)++ % picks.size()];
+    sl.unit = (*next_unit)++;
+    sl.id = (seq++ << kSlotBits) | slot;
+    sl.traced = traced && trace::recorded() < kRequestSpanBudget;
+    encode_tag(payload, RequestTag{sl.unit, sl.pick.input, sl.traced});
+    append_request(buf, sl.id, s.classes[sl.pick.kind], sl.pick.kind, payload, sizeof payload);
+    fresh[nfresh++] = slot;
+  };
+  const auto flush = [&] {
+    const std::int64_t t = now_ns();
+    for (unsigned k = 0; k < nfresh; ++k) slots[fresh[k]].sent = t;
+    sock.write_all(buf);
+    buf.clear();
+    out.sent += nfresh;
+    inflight += nfresh;
+    nfresh = 0;
+  };
+
+  // The controller's ratio knobs, sampled every 10 ms in traced segments.
+  double ratio_sum = 0.0;
+  std::size_t ratio_n = 0;
+  const auto sample = [&] {
+    for (const serve::ClassId cls : s.classes) ratio_sum += s.srv->class_report(cls).ratio;
+    ratio_n += s.classes.size();
+  };
+
+  const sigrt::energy::Scope energy(s.srv->runtime().meter());
+  const std::int64_t start = now_ns();
+  const std::int64_t stop_at = start + static_cast<std::int64_t>(seconds * 1e9);
+  const std::int64_t give_up = stop_at + 5'000'000'000;
+  std::int64_t next_sample = traced ? start : std::numeric_limits<std::int64_t>::max();
   try {
-    while (got < n) {
+    for (unsigned slot = 0; slot < kWindow; ++slot) enqueue(slot);
+    flush();
+    while (inflight > 0) {
       std::int64_t now = now_ns();
       if (now > give_up) break;  // the rest count as missing
-      if (next < n && start + sched[next].due_ns <= now) {
-        buf.clear();
-        const std::size_t first = next;
-        for (; next < n && start + sched[next].due_ns <= now; ++next) {
-          const Arrival& a = sched[next];
-          const bool traced = a.due_ns >= split_ns && trace::recorded() < kRequestSpanBudget;
-          encode_tag(payload, RequestTag{static_cast<std::uint32_t>(next), a.input, traced});
-          append_request(buf, static_cast<std::uint32_t>(next), served->classes[a.kind], a.kind,
-                         payload, sizeof payload);
-        }
-        const std::int64_t sent = now_ns();
-        for (std::size_t j = first; j < next; ++j) sent_ns[j] = sent;
-        sock->write_all(buf);
-        continue;
-      }
-      if (next < n && now >= next_sample) {
-        const std::int64_t t = now - start;
-        if (!split_taken && t >= split_ns) {
-          split_taken = true;
-          c_split = snapshot(*served);
-          untraced_j = energy_all.joules();
-        }
-        Sample smp{t, 0.0, true};
-        for (const serve::ClassId cls : served->classes) {
-          const serve::ClassReport cr = served->srv->class_report(cls);
-          smp.ratio += cr.ratio / kKinds;
-          smp.full = smp.full && cr.ratio >= 1.0 && cr.perforation <= 0.0;
-        }
-        samples.push_back(smp);
+      if (now >= next_sample) {
+        sample();
         next_sample += 10'000'000;
-        continue;
       }
-      std::int64_t wait = 50'000'000;
-      if (next < n) wait = std::min(start + sched[next].due_ns, next_sample) - now;
-      if (!sock->wait_readable(wait)) continue;
-      sock->read_into(reader);
+      if (!sock.wait_readable(std::min(next_sample, give_up) - now)) continue;
+      sock.read_into(reader);
       now = now_ns();
       net::FrameView f;
       while (reader.next_frame(f)) {
         if (f.size < net::kResponseHeaderBytes) {
-          ++stray;
+          ++out.wrong;  // matches no request: the one it answers goes missing
           continue;
         }
         const net::ResponseHeader h = net::ResponseHeader::decode(f.data);
-        if (h.id >= n || answered[h.id]) {
-          ++stray;  // an answer to no outstanding request
+        Slot& sl = slots[h.id & (kWindow - 1)];
+        if (sl.id != h.id || sl.sent == 0) {
+          ++out.wrong;  // an answer to no outstanding request
           continue;
         }
-        const Arrival& a = sched[h.id];
         BodyResult res;
-        verdict[h.id] = check_response(h.status, f.data + net::kResponseHeaderBytes,
-                                       f.size - net::kResponseHeaderBytes,
-                                       inputs->acc[a.kind][a.input],
-                                       inputs->app[a.kind][a.input], &res);
-        answered[h.id] = 1;
-        read_ns[h.id] = now;
-        server_ns[h.id] = h.server_ns;
-        body_end[h.id] = res.t1;
-        ++got;
+        const Verdict v = check_response(h.status, f.data + net::kResponseHeaderBytes,
+                                         f.size - net::kResponseHeaderBytes,
+                                         in.acc[sl.pick.kind][sl.pick.input],
+                                         in.app[sl.pick.kind][sl.pick.input], &res);
+        --inflight;
+        switch (v) {
+          case Verdict::Accurate: ++out.accurate; break;
+          case Verdict::Approx: ++out.approx; break;
+          case Verdict::Refused: ++out.refused; break;
+          case Verdict::Wrong: ++out.wrong; break;
+        }
+        if (v == Verdict::Accurate || v == Verdict::Approx) {
+          if (out.lat_ms.size() < kMaxSamples) out.lat_ms.push_back(ms(now - sl.sent));
+          if (now < stop_at) {
+            ++out.done_in_window;
+            out.window_s = static_cast<double>(now - start) * 1e-9;
+          }
+          if (sl.traced) {
+            out.traced.push_back({sl.unit, sl.pick.kind, sl.sent, now, h.server_ns, res.t1});
+          }
+        }
+        sl.sent = 0;
+        if (now < stop_at) enqueue(static_cast<unsigned>(&sl - slots.data()));
       }
+      if (nfresh > 0) flush();
     }
   } catch (const std::exception&) {
-    broken = true;
+    out.broken = true;
   }
-  if (!o.trace) untraced_j = energy_all.joules();
-  const double rss = peak_rss_mb();  // before the analysis below allocates
-  const ServeCounters c_end = snapshot(*served);
-  sock.reset();
-  served.reset();  // drains the server: every handler span is recorded
-  r.failed += stray;
+  out.missing = inflight;
+  out.joules = energy.joules();
+  out.ratio_mean = per(ratio_sum, static_cast<double>(ratio_n));
+  return out;
+}
 
-  // End-to-end metrics over the untraced part of the schedule.  Latency
-  // percentiles and throughput are taken per calm+burst cycle and the median
-  // over cycles is reported: a cycle disturbed from outside (CPU steal on a
-  // shared host) moves one cycle's figures, not the result.
-  // Whole calm+burst cycles of the untraced part; a trailing partial cycle
-  // counts in the shares but not in the per-cycle figures.
-  const double window_s = std::min(o.seconds, static_cast<double>(split_ns) * 1e-9);
-  const double cycle_len_s = shape.calm_s + shape.burst_s;
-  const std::size_t cycles =
-      std::max<std::size_t>(1, static_cast<std::size_t>(window_s / cycle_len_s + 1e-9));
-  std::vector<std::vector<double>> cycle_ms(cycles);
-  std::vector<double> lat_ms, lag_us;
+}  // namespace
+
+Result run_serve_closed(const Options& o) {
+  Result r;
+  std::vector<double> setups;
+  std::vector<Segment> segs;
+  std::vector<bool> seg_traced;
+  std::vector<trace::Span> spans;
+  ServeDeltas d;
+  std::uint64_t protocol_errors = 0;
+  double traced_segments = 0.0;
+  std::size_t next_pick = 0;
+  std::uint32_t next_unit = 1;
+  std::string meter_name;
+  for (int seg = 0; seg < kSegments; ++seg) {
+    const bool traced = o.trace && seg >= kSegments / 2;
+    const std::int64_t t0 = now_ns();
+    const auto inputs = std::make_unique<ServeInputs>(o.seed);
+    const std::vector<Pick> picks = make_picks(o.seed, kPicks, kKinds, kInputs);
+    std::unique_ptr<Served> served = start_server(*inputs);
+    auto sock = std::make_unique<Socket>(served->net->port());
+    warm_up(*sock, *served, 64);
+    setups.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
+    if (seg == 0) {
+      sigrt::Runtime& rt = served->srv->runtime();
+      meter_name = rt.meter().name();
+      r.stamp.emplace_back("workers", std::to_string(rt.config().workers));
+      r.stamp.emplace_back("energy", meter_name);
+      r.stamp.emplace_back("policy", rt.policy_name());
+    }
+    if (traced) trace::arm(kTraceThreads, kSpansPerThread);
+    const ServeCounters c0 = snapshot(*served);
+    segs.push_back(run_segment(*sock, *served, *inputs, picks, &next_pick, &next_unit,
+                               o.seconds / kSegments, traced));
+    seg_traced.push_back(traced);
+    const ServeCounters c1 = snapshot(*served);
+    protocol_errors += c1.protocol_errors - c0.protocol_errors;
+    sock.reset();
+    served.reset();  // drains the server: every handler span is recorded
+    if (!traced) continue;
+    d.add(c0, c1);
+    traced_segments += 1.0;
+    for (const Segment::Traced& t : segs.back().traced) {
+      const std::uint64_t req = trace::record(Kind::Request, t.sent, t.read, t.unit, t.kind, 0);
+      trace::record(Kind::Server, t.body_end - t.server_ns, t.body_end, t.unit, t.kind, req);
+    }
+    const std::vector<trace::Span> seg_spans = trace::collect();
+    spans.insert(spans.end(), seg_spans.begin(), seg_spans.end());
+  }
+  const double rss = peak_rss_mb();  // before the analysis below allocates
+
+  // End-to-end metrics: untraced segments only; latency, throughput and
+  // energy are the median over segments.
+  std::vector<double> lat, seg_p50, seg_p90, seg_rate, seg_mj, traced_p50;
+  std::size_t min_beyond = std::numeric_limits<std::size_t>::max();
   std::uint64_t att = 0, acc = 0, approx = 0, refused = 0, wrong = 0, missing = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    ++r.attempted;
-    const bool ok = answered[i] && verdict[i] != Verdict::Wrong;
-    if (!ok) ++r.failed;
-    if (sched[i].due_ns >= split_ns) continue;
-    ++att;
-    lag_us.push_back(us(sent_ns[i] - (start + sched[i].due_ns)));
-    if (!answered[i]) {
-      ++missing;
+  bool broken = false;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const Segment& sg = segs[i];
+    r.attempted += sg.sent;
+    r.failed += sg.refused + sg.wrong + sg.missing;
+    broken = broken || sg.broken;
+    if (seg_traced[i]) {
+      traced_p50.push_back(percentile(sg.lat_ms, 0.5));
       continue;
     }
-    switch (verdict[i]) {
-      case Verdict::Accurate: ++acc; break;
-      case Verdict::Approx: ++approx; break;
-      case Verdict::Refused: ++refused; continue;
-      case Verdict::Wrong: ++wrong; continue;
-    }
-    const double l = ms(read_ns[i] - (start + sched[i].due_ns));
-    lat_ms.push_back(l);
-    const auto c = static_cast<std::size_t>(static_cast<double>(sched[i].due_ns) * 1e-9 / cycle_len_s);
-    if (c < cycles) cycle_ms[c].push_back(l);
+    att += sg.sent;
+    acc += sg.accurate;
+    approx += sg.approx;
+    refused += sg.refused;
+    wrong += sg.wrong;
+    missing += sg.missing;
+    lat.insert(lat.end(), sg.lat_ms.begin(), sg.lat_ms.end());
+    seg_p50.push_back(percentile(sg.lat_ms, 0.5));
+    seg_p90.push_back(percentile(sg.lat_ms, 0.9));
+    seg_rate.push_back(per(static_cast<double>(sg.done_in_window), sg.window_s));
+    seg_mj.push_back(per(sg.joules * 1e3, static_cast<double>(sg.sent)));
+    min_beyond = std::min(min_beyond, samples_beyond(sg.lat_ms.size(), 0.9));
   }
-  std::vector<double> cyc_p50, cyc_p90, cyc_rate;
-  std::size_t min_beyond = std::numeric_limits<std::size_t>::max();
-  for (const std::vector<double>& v : cycle_ms) {
-    cyc_p50.push_back(percentile(v, 0.5));
-    cyc_p90.push_back(percentile(v, 0.9));
-    cyc_rate.push_back(static_cast<double>(v.size()) / cycle_len_s);
-    min_beyond = std::min(min_beyond, samples_beyond(v.size(), 0.9));
-  }
-  const double p50 = median(cyc_p50), p90 = median(cyc_p90), p99 = percentile(lat_ms, 0.99);
-  const double lag99 = percentile(lag_us, 0.99);
+  const double p50 = median(seg_p50), p90 = median(seg_p90), p99 = percentile(lat, 0.99);
   const double setup = median(setups);
-  const double mj = per(untraced_j * 1e3, static_cast<double>(att));
   r.e2e = {
       {"latency_ms_p50", p50, "ms"},
-      {"throughput_per_s", median(cyc_rate), "1/s"},
-      {"energy_mj", mj, "mJ"},
+      {"throughput_per_s", median(seg_rate), "1/s"},
+      {"energy_mj", median(seg_mj), "mJ"},
       {"accurate_share", per(static_cast<double>(acc), static_cast<double>(att)), "ratio"},
       {"success_share", per(static_cast<double>(acc + approx), static_cast<double>(att)), "ratio"},
       {"setup_s", setup, "s"},
       {"peak_rss_mb", rss, "MB"},
   };
-  const ServeCounters& c_mid = o.trace ? c_split : c_end;
-  r.note("%s: open loop, %llu requests due in %.1f s (calm %.0f/s for %.1f s, burst %.0f/s for %.1f s), 2 workers",
-         label, static_cast<unsigned long long>(att), window_s, shape.calm_rate_hz, shape.calm_s,
-         shape.burst_rate_hz, shape.burst_s);
-  r.note("  latency_ms_p50  %10.4f ms   from due time, answered requests (n=%zu); median over %zu cycles (%s)",
-         p50, lat_ms.size(), cycles, join(cyc_p50).c_str());
-  r.note("  latency_ms_p90  %10.4f ms   median over cycles (%s); each rests on >= %zu samples beyond",
-         p90, join(cyc_p90).c_str(), min_beyond);
-  r.note("  latency_ms_p99  %10.4f ms   all cycles pooled (%zu samples beyond)", p99,
-         samples_beyond(lat_ms.size(), 0.99));
-  r.note("  throughput      %10.1f req/s correct answers, median over cycles", median(cyc_rate));
-  r.note("  accurate_share  %10.4f ratio (%llu accurate, %llu approximate, %llu refused)",
-         per(static_cast<double>(acc), static_cast<double>(att)), static_cast<unsigned long long>(acc),
-         static_cast<unsigned long long>(approx), static_cast<unsigned long long>(refused));
-  r.note("  failed_share    %10.4f ratio (shed/expired %llu, wrong %llu, missing %llu; server shed %llu perforated %llu expired %llu)",
+  r.note("serve-closed: closed loop, 1 connection x %u in flight, %llu requests in %zu untraced segments, %u workers",
+         kWindow, static_cast<unsigned long long>(att), seg_p50.size(), kWorkers);
+  r.note("  latency_ms_p50  %10.4f ms   send to response read (n=%zu), median over segments (%s)",
+         p50, lat.size(), join(seg_p50).c_str());
+  r.note("  latency_ms_p90  %10.4f ms   median over segments (%s); each rests on >= %zu samples beyond",
+         p90, join(seg_p90).c_str(), min_beyond);
+  r.note("  latency_ms_p99  %10.4f ms   segments pooled (%zu samples beyond)", p99,
+         samples_beyond(lat.size(), 0.99));
+  r.note("  throughput_rps  %10.1f req/s correct answers, median over segments (%s)",
+         median(seg_rate), join(seg_rate).c_str());
+  r.note("  energy_mj       %10.4f mJ   per request, median over segments, meter backend %s",
+         median(seg_mj), meter_name.c_str());
+  r.note("  accurate_share  %10.4f ratio (%llu accurate, %llu approximate of %llu)",
+         per(static_cast<double>(acc), static_cast<double>(att)),
+         static_cast<unsigned long long>(acc), static_cast<unsigned long long>(approx),
+         static_cast<unsigned long long>(att));
+  r.note("  failed_share    %10.4f ratio (refused %llu, wrong %llu, missing %llu)",
          per(static_cast<double>(refused + wrong + missing), static_cast<double>(att)),
          static_cast<unsigned long long>(refused), static_cast<unsigned long long>(wrong),
-         static_cast<unsigned long long>(missing),
-         static_cast<unsigned long long>(c_mid.shed - c_start.shed),
-         static_cast<unsigned long long>(c_mid.perforated - c_start.perforated),
-         static_cast<unsigned long long>(c_mid.expired - c_start.expired));
-  r.note("  energy_mj       %10.4f mJ   per request, meter backend %s", mj, meter_name.c_str());
-  r.note("  gen.lag_us_p99  %10.3f us   (limit %.0f us)", lag99, kMaxLagP99Us);
-  r.note("  setup_s         %10.4f s    median of %d set-ups (%.4f %.4f %.4f)", setup, kSetups,
-         setups[0], setups[1], setups[2]);
+         static_cast<unsigned long long>(missing));
+  r.note("  setup_s         %10.4f s    median of %zu set-ups (min %.4f, max %.4f)", setup,
+         setups.size(), *std::min_element(setups.begin(), setups.end()),
+         *std::max_element(setups.begin(), setups.end()));
   r.note("  peak_rss_mb     %10.2f MB", rss);
-  if (lag99 > kMaxLagP99Us) {
-    r.valid = false;
-    r.note("INVALID: the generator fell behind its schedule (lag p99 %.0f us)", lag99);
-  }
+  r.note("  net.protocol_errors %6llu", static_cast<unsigned long long>(protocol_errors));
   if (broken) {
     r.valid = false;
     r.note("INVALID: the connection broke");
   }
+  if (protocol_errors > 0) {
+    r.valid = false;
+    r.note("INVALID: the front door counted protocol errors");
+  }
   if (!o.trace) return r;
 
-  // Traced half: the same per-cycle median latency, for the overhead line.
-  std::vector<std::vector<double>> traced_cycle_ms(cycles);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sched[i].due_ns < split_ns || !answered[i]) continue;
-    if (verdict[i] == Verdict::Accurate || verdict[i] == Verdict::Approx) {
-      const auto c = static_cast<std::size_t>(
-          static_cast<double>(sched[i].due_ns - split_ns) * 1e-9 / cycle_len_s);
-      if (c < cycles) traced_cycle_ms[c].push_back(ms(read_ns[i] - (start + sched[i].due_ns)));
-    }
-  }
-  std::vector<double> traced_p50;
-  for (const std::vector<double>& v : traced_cycle_ms) traced_p50.push_back(percentile(v, 0.5));
-  const std::vector<trace::Span> handler_spans = trace::collect();
-  std::unordered_set<std::uint32_t> traced_units;
-  for (const trace::Span& s : handler_spans) traced_units.insert(s.unit);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto unit = static_cast<std::uint32_t>(i);
-    if (!answered[i] || traced_units.count(unit) == 0) continue;
-    record_request(unit, sched[i].kind, start + sched[i].due_ns, sent_ns[i], read_ns[i],
-                   server_ns[i], body_end[i]);
-  }
-  const std::vector<trace::Span> spans = trace::collect();
+  // Per-layer metrics: spans and counter deltas of the traced segments.
   const Stages st = analyze_requests(spans);
-  double ratio_sum = 0.0;
-  std::size_t ratio_n = 0;
-  for (const Sample& s : samples) {
-    if (s.t < split_ns) continue;
-    ratio_sum += s.ratio;
-    ++ratio_n;
+  double traced_s = 0.0, ratio_mean = 0.0;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (!seg_traced[i]) continue;
+    traced_s += segs[i].window_s;
+    ratio_mean += segs[i].ratio_mean;
   }
-  // Bursts of the traced half that a calm phase follows.
-  std::vector<double> recovery_s;
-  std::size_t bursts = 0;
-  for (const std::int64_t e : burst_ends(o.seconds, shape)) {
-    if (e <= split_ns || e >= static_cast<std::int64_t>(o.seconds * 1e9)) continue;
-    ++bursts;
-    for (const Sample& s : samples) {
-      if (s.t >= e + static_cast<std::int64_t>(shape.calm_s * 1e9)) break;  // next burst
-      if (s.t >= e && s.full) {
-        recovery_s.push_back(static_cast<double>(s.t - e) * 1e-9);
-        break;
-      }
-    }
-  }
-  const std::uint64_t traced_att = n - att;
-  layer_metrics(r, st, c_split, c_end, o.seconds - window_s, 2, traced_att,
-                per(ratio_sum, static_cast<double>(ratio_n)));
-  r.note("  serve.recovery_s       %10.3f s   median burst end -> every ratio back at 1 (%zu of %zu bursts recovered)",
-         median(recovery_s), recovery_s.size(), bursts);
+  ratio_mean = per(ratio_mean, traced_segments);
+  const double wall = kWorkers * traced_s;
+  r.layer = layer_metrics({
+      .submit_us = median(st.in_us),
+      .queue_us_p50 = percentile(st.queue_us, 0.5),
+      .queue_us_p99 = percentile(st.queue_us, 0.99),
+      .body_accurate_us = median(st.body_acc_us),
+      .complete_us = median(st.out_us),
+      .busy_us_per_unit = per(d.core.busy_s * 1e6, d.served),
+      .body_share = per(st.body_s, wall),
+      .help_self_share = per(self_seconds(spans, Kind::Help), wall),
+      .steals_per_ktask = per(1e3 * d.core.steals, d.core.spawned),
+      .inline_spawns_per_ktask = per(1e3 * d.core.inline_spawns, d.core.spawned),
+      .handoffs_per_kunit = per(1e3 * d.core.handoffs, d.served),
+      .ratio_diff = std::fabs(ratio_mean - per(d.served_accurate, d.served)),
+      .inversion = per(d.inversion, traced_segments),
+      .approx_share = per(d.served_approximate, d.submitted),
+      .dropped_share = per(d.shed + d.perforated + d.expired + d.timed_out, d.submitted),
+      .dep_edges_per_task = per(d.core.dep_edges, d.core.spawned),
+  });
+  r.note("traced: %zu requests with every span (%llu spans dropped in the last segment)",
+         st.complete, static_cast<unsigned long long>(trace::dropped()));
+  r.note("  net.in_us              %10.3f us  median send -> admission", median(st.in_us));
+  r.note("  serve.queue_us_p50     %10.3f us  admission -> body start", percentile(st.queue_us, 0.5));
+  r.note("  serve.queue_us_p99     %10.3f us", percentile(st.queue_us, 0.99));
+  r.note("  apps.accurate_body_us  %10.3f us  (n=%zu)", median(st.body_acc_us), st.body_acc_us.size());
+  r.note("  apps.approx_body_us    %10.3f us  (n=%zu)", median(st.body_app_us), st.body_app_us.size());
+  r.note("  net.out_us             %10.3f us  median body end -> response read", median(st.out_us));
+  r.note("  serve.busy_us_per_req  %10.3f us", per(d.core.busy_s * 1e6, d.served));
+  r.note("  serve.shed_share %.4f, serve.degraded_share %.4f, serve.perforated_share %.4f, "
+         "serve.expired_share %.4f (of %.0f submitted)",
+         per(d.shed, d.submitted), per(d.degraded, d.submitted), per(d.perforated, d.submitted),
+         per(d.expired, d.submitted), d.submitted);
+  r.note("  serve.ratio_mean       %10.4f     controller knob, mean over 10 ms samples", ratio_mean);
+  r.note("  closure: net.in + serve.queue + body + net.out = request, no stage below -20 us, "
+         "on %zu of %zu requests (needs 99.9%%)", st.complete - st.closure_fail, st.complete);
   const double tp50 = median(traced_p50);
   r.note("  tracing overhead: latency_ms_p50 %.4f traced vs %.4f untraced (%+.1f%%), "
-         "each the median over its half's cycles", tp50, p50, 100.0 * per(tp50 - p50, p50));
+         "each the median over its segments", tp50, p50, 100.0 * per(tp50 - p50, p50));
+  if (!closes(st.complete, st.closure_fail)) r.valid = false;
   if (!o.trace_out.empty() && !trace::write_chrome(spans, o.trace_out, kChromeEvents)) {
     r.note("could not write %s", o.trace_out.c_str());
   }
   return r;
 }
-
-// --- wire-pipeline -------------------------------------------------------------
-
-constexpr unsigned kConnections = 2;
-constexpr unsigned kWindow = 64;  // requests in flight per connection
-constexpr std::size_t kPayloadBytes = 64;
-constexpr std::uint32_t kSlotBits = 6;  // kWindow == 1 << kSlotBits
-/// Latency samples kept per connection: a 20 s window at the throughput of
-/// the reference box needs about 1.5M.
-constexpr std::size_t kMaxLatSamples = std::size_t{1} << 21;
-
-std::uint64_t fnv_kernel(const std::uint8_t* p, std::size_t n, std::uint16_t, bool) {
-  return fnv1a(p, n);
-}
-
-std::unique_ptr<Served> start_pipeline_server() {
-  auto s = std::make_unique<Served>();
-  serve::ServerOptions so;
-  so.runtime.workers = 2;
-  so.epoch_ms = 0.0;  // controller off: raw front-door capacity
-  so.dispatcher_threads = 1;
-  s->srv = std::make_unique<serve::Server>(so);
-  serve::RequestClassConfig cfg;
-  cfg.name = "fnv";
-  cfg.criticality = serve::Criticality::Critical;
-  cfg.qos.deadline_ns = 100e6;
-  cfg.max_in_flight = 4096;
-  s->classes.push_back(s->srv->register_class(cfg));
-  net::NetServerOptions no;
-  no.pollers = 1;
-  s->net = std::make_unique<net::NetServer>(*s->srv, no);
-  s->net->register_kernel(0, make_handler(fnv_kernel, 0, 1.0));
-  s->net->start();
-  return s;
-}
-
-/// One closed-loop connection: keeps kWindow requests in flight until
-/// `stop_at`, then collects what is outstanding.  One client thread drives
-/// both connections, so the client adds one thread, not one per connection.
-struct PipelineClient {
-  unsigned index = 0;
-  std::uint32_t cls = 0;
-  std::unique_ptr<Socket> sock;
-  std::vector<std::uint8_t> blobs;  ///< seeded payload bodies, kWindow x 56 B
-  /// Untraced responses' latencies, tagged with the 1 s window they were
-  /// read in.  Allocated and touched at set-up, so the resident set does not
-  /// grow with throughput.
-  struct LatSample {
-    float ms;
-    std::uint16_t window;
-  };
-  std::vector<LatSample> lat;
-  std::size_t nlat = 0;
-  std::vector<float> traced_ms;  ///< traced responses
-  std::uint64_t sent = 0, ok = 0, wrong = 0, missing = 0;
-  std::uint64_t sent_untraced = 0, ok_untraced = 0;
-  unsigned inflight = 0;
-  /// Traced requests' client-side times, for spans recorded after the run.
-  struct TracedReq {
-    std::uint32_t unit;
-    std::int64_t due, sent, read, server_ns, body_end;
-  };
-  std::vector<TracedReq> traced;
-
-  std::array<std::int64_t, kWindow> slot_due{}, slot_sent{};
-  std::array<std::uint64_t, kWindow> slot_sum{};
-  std::array<bool, kWindow> slot_traced{};
-  std::array<std::uint32_t, kWindow> slot_unit{};
-  std::array<unsigned, kWindow> fresh{};
-  std::vector<std::uint8_t> buf;
-  std::uint32_t seq = 0;
-  net::FrameReader reader;
-
-  void enqueue(unsigned slot, std::int64_t due, std::int64_t split) {
-    std::uint8_t payload[kPayloadBytes];
-    const std::uint32_t id = (seq++ << kSlotBits) | slot;
-    const std::uint32_t unit = (index << 30) | (id & ((1u << 30) - 1));
-    const bool is_traced = due >= split && trace::recorded() < kRequestSpanBudget;
-    encode_tag(payload, RequestTag{unit, 0, is_traced});
-    std::memcpy(payload + kRequestPrefixBytes,
-                blobs.data() + slot * (kPayloadBytes - kRequestPrefixBytes),
-                kPayloadBytes - kRequestPrefixBytes);
-    slot_sum[slot] = fnv1a(payload, kPayloadBytes);
-    slot_due[slot] = due;
-    slot_traced[slot] = is_traced;
-    slot_unit[slot] = unit;
-    append_request(buf, id, cls, 0, payload, kPayloadBytes);
-  }
-
-  void flush(unsigned count, std::int64_t due, std::int64_t split) {
-    const std::int64_t t = now_ns();
-    for (unsigned k = 0; k < count; ++k) slot_sent[fresh[k]] = t;
-    sock->write_all(buf);
-    buf.clear();
-    sent += count;
-    if (due < split) sent_untraced += count;
-    inflight += count;
-  }
-
-  /// Sends the first window.
-  void begin(std::int64_t start, std::int64_t split) {
-    buf.reserve(kWindow * 128);
-    for (unsigned s = 0; s < kWindow; ++s) {
-      enqueue(s, start, split);
-      fresh[s] = s;
-    }
-    flush(kWindow, start, split);
-  }
-
-  /// Reads what arrived, checks each response and, before `stop_at`,
-  /// replaces it with a new request; the replacements go out in one write.
-  void on_readable(std::int64_t start, std::int64_t split, std::int64_t stop_at) {
-    sock->read_into(reader);
-    const std::int64_t now = now_ns();
-    unsigned nfresh = 0;
-    net::FrameView f;
-    while (reader.next_frame(f)) {
-      if (f.size < net::kResponseHeaderBytes) {
-        ++wrong;
-        continue;
-      }
-      const net::ResponseHeader h = net::ResponseHeader::decode(f.data);
-      const unsigned slot = h.id & (kWindow - 1);
-      BodyResult res;
-      const Verdict v = check_response(h.status, f.data + net::kResponseHeaderBytes,
-                                       f.size - net::kResponseHeaderBytes, slot_sum[slot],
-                                       slot_sum[slot] + 1, &res);
-      --inflight;
-      if (v == Verdict::Accurate) {
-        ++ok;
-        const float l = static_cast<float>(ms(now - slot_sent[slot]));
-        if (slot_due[slot] >= split) {
-          traced_ms.push_back(l);
-        } else {
-          ++ok_untraced;
-          if (nlat < lat.size()) {
-            lat[nlat++] = {l, static_cast<std::uint16_t>((now - start) / 1'000'000'000)};
-          }
-        }
-        if (slot_traced[slot]) {
-          traced.push_back(
-              {slot_unit[slot], slot_due[slot], slot_sent[slot], now, h.server_ns, res.t1});
-        }
-      } else {
-        ++wrong;
-      }
-      if (now < stop_at) {
-        enqueue(slot, now, split);
-        fresh[nfresh++] = slot;
-      }
-    }
-    if (nfresh > 0) flush(nfresh, now, split);
-  }
-
-  /// Counts what never came back and records the traced requests' spans.
-  void finish() {
-    missing += inflight;
-    for (const TracedReq& t : traced) {
-      record_request(t.unit, 0, t.due, t.sent, t.read, t.server_ns, t.body_end);
-    }
-  }
-};
-
-Result run_wire_pipeline_impl(const Options& o) {
-  Result r;
-  std::unique_ptr<Served> served;
-  std::vector<PipelineClient> clients(kConnections);
-  std::vector<double> setups;
-  for (int s = 0; s < kSetups; ++s) {
-    for (PipelineClient& c : clients) c.sock.reset();
-    served.reset();
-    const std::int64_t t0 = now_ns();
-    served = start_pipeline_server();
-    sigrt::support::Xoshiro256 rng(o.seed ^ 0xf1f0ull);
-    for (unsigned i = 0; i < kConnections; ++i) {
-      PipelineClient& c = clients[i];
-      c.index = i;
-      c.blobs.resize(kWindow * (kPayloadBytes - kRequestPrefixBytes));
-      for (std::uint8_t& b : c.blobs) b = static_cast<std::uint8_t>(rng.next());
-      c.cls = served->classes[0];
-      c.sock = std::make_unique<Socket>(served->net->port());
-      warm_up(*c.sock, *served, 1000, kWindow, 1, kPayloadBytes);
-    }
-    setups.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
-  }
-  sigrt::Runtime& rt = served->srv->runtime();
-  r.stamp.emplace_back("workers", "2");
-  const std::string meter_name = rt.meter().name();
-  r.stamp.emplace_back("energy", meter_name);
-  r.stamp.emplace_back("policy", rt.policy_name());
-  if (o.trace) trace::arm(kTraceThreads, kSpansPerThread);
-  for (PipelineClient& c : clients) {
-    c.lat.assign(kMaxLatSamples, {});
-    c.traced_ms.reserve(o.trace ? 1 << 22 : 0);
-    c.traced.reserve(o.trace ? 1 << 18 : 0);
-  }
-
-  const std::int64_t start = now_ns();
-  const std::int64_t stop_at = start + static_cast<std::int64_t>(o.seconds * 1e9);
-  const std::int64_t split =
-      o.trace ? start + static_cast<std::int64_t>(o.seconds * 0.5e9) : stop_at + 1;
-  const std::int64_t give_up = stop_at + 5'000'000'000;
-  const sigrt::energy::Scope energy(rt.meter());
-  double untraced_j = 0.0;
-  ServeCounters c_split{};
-  bool split_taken = !o.trace;
-  bool broken = false;
-  try {
-    for (PipelineClient& c : clients) c.begin(start, split);
-    while (now_ns() < give_up) {
-      std::array<pollfd, kConnections> fds{};
-      unsigned open = 0;
-      for (unsigned i = 0; i < kConnections; ++i) {
-        fds[i] = {clients[i].sock->fd(), POLLIN, 0};
-        open += clients[i].inflight > 0 ? 1 : 0;
-      }
-      if (open == 0) break;
-      if (!split_taken && now_ns() >= split) {
-        split_taken = true;
-        c_split = snapshot(*served);
-        untraced_j = energy.joules();
-      }
-      const timespec ts{0, 20'000'000};
-      if (::ppoll(fds.data(), kConnections, &ts, nullptr) <= 0) continue;
-      for (unsigned i = 0; i < kConnections; ++i) {
-        if (fds[i].revents != 0 && clients[i].inflight > 0) {
-          clients[i].on_readable(start, split, stop_at);
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    broken = true;
-  }
-  for (PipelineClient& c : clients) c.finish();
-  if (!o.trace) untraced_j = energy.joules();
-  const double rss = peak_rss_mb();  // before the analysis below allocates
-  const ServeCounters c_end = snapshot(*served);
-  for (PipelineClient& c : clients) c.sock.reset();
-  served.reset();
-
-  // Latency percentiles and throughput per 1 s window, median over windows:
-  // a window disturbed from outside (CPU steal on a shared host) moves one
-  // window's figures, not the result.
-  const double window_s = static_cast<double>(std::min(split, stop_at) - start) * 1e-9;
-  const std::size_t windows = std::max<std::size_t>(1, static_cast<std::size_t>(window_s));
-  std::vector<std::vector<double>> win_ms(windows);
-  std::vector<double> lat, traced_lat;
-  std::uint64_t sent_u = 0, ok_u = 0, lost_samples = 0;
-  for (const PipelineClient& c : clients) {
-    r.attempted += c.sent;
-    r.failed += c.wrong + c.missing;
-    sent_u += c.sent_untraced;
-    ok_u += c.ok_untraced;
-    lost_samples += c.ok_untraced - c.nlat;
-    for (std::size_t i = 0; i < c.nlat; ++i) {
-      lat.push_back(c.lat[i].ms);
-      if (c.lat[i].window < windows) win_ms[c.lat[i].window].push_back(c.lat[i].ms);
-    }
-    traced_lat.insert(traced_lat.end(), c.traced_ms.begin(), c.traced_ms.end());
-  }
-  std::vector<double> win_p50, win_p90, win_rate;
-  std::size_t min_beyond = std::numeric_limits<std::size_t>::max();
-  for (const std::vector<double>& v : win_ms) {
-    win_p50.push_back(percentile(v, 0.5));
-    win_p90.push_back(percentile(v, 0.9));
-    win_rate.push_back(static_cast<double>(v.size()));
-    min_beyond = std::min(min_beyond, samples_beyond(v.size(), 0.9));
-  }
-  const double p50 = median(win_p50), p90 = median(win_p90), p99 = percentile(lat, 0.99);
-  const double setup = median(setups);
-  const double mj = per(untraced_j * 1e3, static_cast<double>(sent_u));
-  r.e2e = {
-      {"latency_ms_p50", p50, "ms"},
-      {"throughput_per_s", median(win_rate), "1/s"},
-      {"energy_mj", mj, "mJ"},
-      {"accurate_share", per(static_cast<double>(ok_u), static_cast<double>(sent_u)), "ratio"},
-      {"success_share", per(static_cast<double>(ok_u), static_cast<double>(sent_u)), "ratio"},
-      {"setup_s", setup, "s"},
-      {"peak_rss_mb", rss, "MB"},
-  };
-  r.note("wire-pipeline: closed loop, %u connections x %u in flight, 64 B FNV requests, 2 workers",
-         kConnections, kWindow);
-  r.note("  throughput_rps  %10.1f req/s correct responses, median over %zu windows of 1 s (%s)",
-         median(win_rate), windows, join(win_rate).c_str());
-  r.note("  latency_ms_p50  %10.4f ms   from send time (n=%zu), median over windows (%s)", p50,
-         lat.size(), join(win_p50).c_str());
-  r.note("  latency_ms_p90  %10.4f ms   median over windows; each rests on >= %zu samples beyond",
-         p90, min_beyond);
-  r.note("  latency_ms_p99  %10.4f ms   all windows pooled (%zu samples beyond)", p99,
-         samples_beyond(lat.size(), 0.99));
-  if (lost_samples > 0) {
-    r.note("  %llu latency samples beyond the preallocated buffer were not kept",
-           static_cast<unsigned long long>(lost_samples));
-  }
-  r.note("  failed_share    %10.4f ratio (%llu wrong or missing of %llu)",
-         per(static_cast<double>(r.failed), static_cast<double>(r.attempted)),
-         static_cast<unsigned long long>(r.failed), static_cast<unsigned long long>(r.attempted));
-  r.note("  energy_mj       %10.6f mJ   per request, meter backend %s", mj, meter_name.c_str());
-  r.note("  setup_s         %10.4f s    median of %d set-ups (%.4f %.4f %.4f)", setup, kSetups,
-         setups[0], setups[1], setups[2]);
-  r.note("  peak_rss_mb     %10.2f MB", rss);
-  if (broken) {
-    r.valid = false;
-    r.note("INVALID: a connection broke");
-  }
-  if (!o.trace) return r;
-
-  const std::vector<trace::Span> spans = trace::collect();
-  const Stages st = analyze_requests(spans);
-  layer_metrics(r, st, c_split, c_end, o.seconds - window_s, 2, r.attempted - sent_u, 1.0);
-  const double tp50 = median(traced_lat);
-  r.note("  tracing overhead: latency_ms_p50 %.4f traced vs %.4f untraced (%+.1f%%)", tp50, p50,
-         100.0 * per(tp50 - p50, p50));
-  if (!o.trace_out.empty() && !trace::write_chrome(spans, o.trace_out, kChromeEvents)) {
-    r.note("could not write %s", o.trace_out.c_str());
-  }
-  return r;
-}
-
-}  // namespace
-
-Result run_serve_burst(const Options& o) { return run_serve(o, kShape, 1, "serve-burst"); }
-Result run_serve_calm(const Options& o) {
-  return run_serve(o, kCalmShape, kCalmRepeats, "serve-calm");
-}
-Result run_wire_pipeline(const Options& o) { return run_wire_pipeline_impl(o); }
 
 }  // namespace pb

@@ -1,9 +1,9 @@
-// The benchmark workloads (BENCHMARK.json gates listing1 and nested-dc; the
-// wire workloads run by hand, see README.md).  Each sets itself up several
-// times (the median is setup_s), measures for the requested seconds, checks
-// every output, and fills a Result.  With tracing, the first half of the window
-// runs untraced and the second half traced; end-to-end metrics come from
-// the untraced part, per-layer metrics from the spans of the traced part.
+// The benchmark workloads: listing1, nested-dc (batch.cpp) and serve-closed
+// (wire.cpp).  Each splits its measurement window into kSegments segments,
+// each on a fresh set-up, checks every output, and fills a Result.  With
+// tracing, the first half of the segments runs untraced and the second half
+// traced; end-to-end metrics come from the untraced segments, per-layer
+// metrics from the spans and counters of the traced ones.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,12 @@ struct Options {
   std::string trace_out;  ///< Chrome trace file written by a traced run
 };
 
-/// Set-ups per invocation; setup_s is their median.
-inline constexpr int kSetups = 3;
+/// The measurement window is split into kSegments equal segments, each on
+/// a freshly set-up program, runtime or server, and timings are the median
+/// over segments: a segment disturbed from outside (CPU steal on a shared
+/// host) or by one runtime's thread placement moves that segment's figures,
+/// not the result.  setup_s is the median of the segments' set-ups.
+inline constexpr int kSegments = 6;
 /// Span budget of a traced run: units stop being traced once the buffers
 /// hold this many spans.
 inline constexpr std::uint64_t kSpanBudget = 1u << 20;
@@ -34,8 +38,6 @@ inline constexpr std::size_t kChromeEvents = 50000;
 
 Result run_listing1(const Options& o);
 Result run_nested_dc(const Options& o);
-Result run_serve_burst(const Options& o);
-Result run_serve_calm(const Options& o);
-Result run_wire_pipeline(const Options& o);
+Result run_serve_closed(const Options& o);
 
 }  // namespace pb
