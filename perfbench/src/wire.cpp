@@ -189,10 +189,18 @@ static_assert(kWindow == 1u << kSlotBits);
 /// that much work per request, the host's scheduling delays move the
 /// latency far less than against one kernel (about 0.1 ms).
 constexpr unsigned kRepeats = 5;
+/// Requests answered at set-up before timing.  With 64, the first second of
+/// the first server in the process ran at about half the later throughput.
+constexpr unsigned kWarmupRequests = 1000;
 /// Length of the seeded request sequence the client cycles through.
 constexpr std::size_t kPicks = std::size_t{1} << 16;
 /// Latency samples kept per segment, reserved before timing.
 constexpr std::size_t kMaxSamples = std::size_t{1} << 20;
+/// Latency, throughput and energy are taken per window of this length and
+/// reported as the median over the windows of the untraced segments: the
+/// host's spare capacity changes from one second to the next, and a median
+/// over thirty windows moves less with it than one over six segments.
+constexpr std::int64_t kWindowNs = 1'000'000'000;
 /// A traced request records its handler span while the segment runs and two
 /// client spans, on one thread, after it: trace a request only while fewer
 /// spans than a quarter of one thread's buffer are recorded.
@@ -385,12 +393,24 @@ struct ServeDeltas {
 
 /// What one segment of the closed loop measured.
 struct Segment {
-  std::vector<double> lat_ms;  ///< correct answers, send to read
+  /// A correct answer's send-to-read latency and the window it was read in
+  /// (kNoWindow: read after the stop time, while collecting).
+  struct Sample {
+    double ms;
+    std::size_t window;
+  };
+  static constexpr std::size_t kNoWindow = ~std::size_t{0};
+  /// One window: correct answers read in it and the modeled energy spent.
+  struct Window {
+    std::uint64_t done = 0;
+    double joules = 0.0;
+  };
+  std::vector<Sample> lat;
+  std::vector<Window> windows;
+  double window_s = 0.0;  ///< length of each window
+  double seconds = 0.0;   ///< the segment's measuring time
   std::uint64_t sent = 0, accurate = 0, approx = 0, refused = 0, wrong = 0, missing = 0;
-  std::uint64_t done_in_window = 0;  ///< correct answers read before the stop time
-  double window_s = 0.0;             ///< first send to the last of those reads
-  double joules = 0.0;               ///< modeled energy, first send to last read
-  double ratio_mean = 0.0;           ///< controller knob, mean over 10 ms samples
+  double ratio_mean = 0.0;  ///< controller knob, mean over 10 ms samples
   bool broken = false;
   /// Traced requests' client-side times, for spans recorded after the
   /// segment (when every handler span is in).
@@ -404,12 +424,20 @@ struct Segment {
 /// Drives one connection for `seconds`: keeps kWindow requests in flight,
 /// checks every answer against the precomputed answers for its input, and
 /// after the stop time collects what is outstanding.  Picks continue from
-/// `*next_pick`; units (request ids in spans) from `*next_unit`.
+/// `*next_pick`; units (request ids in spans) from `*next_unit`.  The
+/// measuring time is cut into windows of kWindowNs (one window when it is
+/// shorter); the meter is read at each window's edges.
 Segment run_segment(const Socket& sock, const Served& s, const ServeInputs& in,
                     const std::vector<Pick>& picks, std::size_t* next_pick,
                     std::uint32_t* next_unit, double seconds, bool traced) {
   Segment out;
-  out.lat_ms.reserve(kMaxSamples);
+  out.lat.reserve(kMaxSamples);
+  const auto seg_ns = static_cast<std::int64_t>(seconds * 1e9);
+  const std::int64_t win_ns = std::min(kWindowNs, seg_ns);
+  const auto nwin = static_cast<std::size_t>(seg_ns / win_ns);
+  out.windows.assign(nwin, {});
+  out.window_s = static_cast<double>(win_ns) * 1e-9;
+  out.seconds = seconds;
   if (traced) out.traced.reserve(kRequestSpanBudget);
   struct Slot {
     std::uint32_t id = 0, unit = 0;
@@ -456,20 +484,35 @@ Segment run_segment(const Socket& sock, const Served& s, const ServeInputs& in,
 
   const sigrt::energy::Scope energy(s.srv->runtime().meter());
   const std::int64_t start = now_ns();
-  const std::int64_t stop_at = start + static_cast<std::int64_t>(seconds * 1e9);
+  const std::int64_t stop_at = start + seg_ns;
   const std::int64_t give_up = stop_at + 5'000'000'000;
-  std::int64_t next_sample = traced ? start : std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  std::int64_t next_sample = traced ? start : kNever;
+  // Window edges: edge k starts window k; edge nwin ends the last one.
+  std::size_t edges = 0;
+  std::int64_t next_edge = start;
+  double edge_joules = 0.0;
+  const auto pass_edges = [&](std::int64_t now) {
+    for (; edges <= nwin && now >= next_edge; ++edges) {
+      const double j = energy.joules();
+      if (edges > 0) out.windows[edges - 1].joules = j - edge_joules;
+      edge_joules = j;
+      next_edge = edges < nwin ? next_edge + win_ns : kNever;
+    }
+  };
+  pass_edges(start);
   try {
     for (unsigned slot = 0; slot < kWindow; ++slot) enqueue(slot);
     flush();
     while (inflight > 0) {
       std::int64_t now = now_ns();
       if (now > give_up) break;  // the rest count as missing
+      pass_edges(now);
       if (now >= next_sample) {
         sample();
         next_sample += 10'000'000;
       }
-      if (!sock.wait_readable(std::min(next_sample, give_up) - now)) continue;
+      if (!sock.wait_readable(std::min({next_sample, next_edge, give_up}) - now)) continue;
       sock.read_into(reader);
       now = now_ns();
       net::FrameView f;
@@ -497,11 +540,10 @@ Segment run_segment(const Socket& sock, const Served& s, const ServeInputs& in,
           case Verdict::Wrong: ++out.wrong; break;
         }
         if (v == Verdict::Accurate || v == Verdict::Approx) {
-          if (out.lat_ms.size() < kMaxSamples) out.lat_ms.push_back(ms(now - sl.sent));
-          if (now < stop_at) {
-            ++out.done_in_window;
-            out.window_s = static_cast<double>(now - start) * 1e-9;
-          }
+          auto w = static_cast<std::size_t>((now - start) / win_ns);
+          if (now >= stop_at || w >= nwin) w = Segment::kNoWindow;
+          if (out.lat.size() < kMaxSamples) out.lat.push_back({ms(now - sl.sent), w});
+          if (w != Segment::kNoWindow) ++out.windows[w].done;
           if (sl.traced) {
             out.traced.push_back({sl.unit, sl.pick.kind, sl.sent, now, h.server_ns, res.t1});
           }
@@ -514,8 +556,8 @@ Segment run_segment(const Socket& sock, const Served& s, const ServeInputs& in,
   } catch (const std::exception&) {
     out.broken = true;
   }
+  pass_edges(now_ns());
   out.missing = inflight;
-  out.joules = energy.joules();
   out.ratio_mean = per(ratio_sum, static_cast<double>(ratio_n));
   return out;
 }
@@ -541,7 +583,7 @@ Result run_serve_closed(const Options& o) {
     const std::vector<Pick> picks = make_picks(o.seed, kPicks, kKinds, kInputs);
     std::unique_ptr<Served> served = start_server(*inputs);
     auto sock = std::make_unique<Socket>(served->net->port());
-    warm_up(*sock, *served, 64);
+    warm_up(*sock, *served, kWarmupRequests);
     setups.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
     if (seg == 0) {
       sigrt::Runtime& rt = served->srv->runtime();
@@ -572,8 +614,8 @@ Result run_serve_closed(const Options& o) {
   const double rss = peak_rss_mb();  // before the analysis below allocates
 
   // End-to-end metrics: untraced segments only; latency, throughput and
-  // energy are the median over segments.
-  std::vector<double> lat, seg_p50, seg_p90, seg_rate, seg_mj, traced_p50;
+  // energy are the median over their windows.
+  std::vector<double> lat, win_p50, win_p90, win_rate, win_mj, traced_p50;
   std::size_t min_beyond = std::numeric_limits<std::size_t>::max();
   std::uint64_t att = 0, acc = 0, approx = 0, refused = 0, wrong = 0, missing = 0;
   bool broken = false;
@@ -582,8 +624,12 @@ Result run_serve_closed(const Options& o) {
     r.attempted += sg.sent;
     r.failed += sg.refused + sg.wrong + sg.missing;
     broken = broken || sg.broken;
+    std::vector<std::vector<double>> by_window(sg.windows.size());
+    for (const Segment::Sample& x : sg.lat) {
+      if (x.window != Segment::kNoWindow) by_window[x.window].push_back(x.ms);
+    }
     if (seg_traced[i]) {
-      traced_p50.push_back(percentile(sg.lat_ms, 0.5));
+      for (const std::vector<double>& v : by_window) traced_p50.push_back(percentile(v, 0.5));
       continue;
     }
     att += sg.sent;
@@ -592,36 +638,40 @@ Result run_serve_closed(const Options& o) {
     refused += sg.refused;
     wrong += sg.wrong;
     missing += sg.missing;
-    lat.insert(lat.end(), sg.lat_ms.begin(), sg.lat_ms.end());
-    seg_p50.push_back(percentile(sg.lat_ms, 0.5));
-    seg_p90.push_back(percentile(sg.lat_ms, 0.9));
-    seg_rate.push_back(per(static_cast<double>(sg.done_in_window), sg.window_s));
-    seg_mj.push_back(per(sg.joules * 1e3, static_cast<double>(sg.sent)));
-    min_beyond = std::min(min_beyond, samples_beyond(sg.lat_ms.size(), 0.9));
+    for (const Segment::Sample& x : sg.lat) lat.push_back(x.ms);
+    for (std::size_t w = 0; w < sg.windows.size(); ++w) {
+      const double done = static_cast<double>(sg.windows[w].done);
+      win_p50.push_back(percentile(by_window[w], 0.5));
+      win_p90.push_back(percentile(by_window[w], 0.9));
+      win_rate.push_back(done / sg.window_s);
+      if (done > 0) win_mj.push_back(sg.windows[w].joules * 1e3 / done);
+      min_beyond = std::min(min_beyond, samples_beyond(by_window[w].size(), 0.9));
+    }
   }
-  const double p50 = median(seg_p50), p90 = median(seg_p90), p99 = percentile(lat, 0.99);
+  const double p50 = median(win_p50), p90 = median(win_p90), p99 = percentile(lat, 0.99);
   const double setup = median(setups);
   r.e2e = {
       {"latency_ms_p50", p50, "ms"},
-      {"throughput_per_s", median(seg_rate), "1/s"},
-      {"energy_mj", median(seg_mj), "mJ"},
+      {"throughput_per_s", median(win_rate), "1/s"},
+      {"energy_mj", median(win_mj), "mJ"},
       {"accurate_share", per(static_cast<double>(acc), static_cast<double>(att)), "ratio"},
       {"success_share", per(static_cast<double>(acc + approx), static_cast<double>(att)), "ratio"},
       {"setup_s", setup, "s"},
       {"peak_rss_mb", rss, "MB"},
   };
-  r.note("serve-closed: closed loop, 1 connection x %u in flight, %llu requests in %zu untraced segments, %u workers",
-         kWindow, static_cast<unsigned long long>(att), seg_p50.size(), kWorkers);
-  r.note("  latency_ms_p50  %10.4f ms   send to response read (n=%zu), median over segments (%s)",
-         p50, lat.size(), join(seg_p50).c_str());
-  r.note("  latency_ms_p90  %10.4f ms   median over segments (%s); each rests on >= %zu samples beyond",
-         p90, join(seg_p90).c_str(), min_beyond);
-  r.note("  latency_ms_p99  %10.4f ms   segments pooled (%zu samples beyond)", p99,
+  r.note("serve-closed: closed loop, 1 connection x %u in flight, %llu requests in %zu windows of %.3g s"
+         " (untraced segments), %u workers",
+         kWindow, static_cast<unsigned long long>(att), win_p50.size(), segs[0].window_s, kWorkers);
+  r.note("  latency_ms_p50  %10.4f ms   send to response read (n=%zu), median over windows (%s)",
+         p50, lat.size(), join(win_p50).c_str());
+  r.note("  latency_ms_p90  %10.4f ms   median over windows; each rests on >= %zu samples beyond",
+         p90, min_beyond);
+  r.note("  latency_ms_p99  %10.4f ms   windows pooled (%zu samples beyond)", p99,
          samples_beyond(lat.size(), 0.99));
-  r.note("  throughput_rps  %10.1f req/s correct answers, median over segments (%s)",
-         median(seg_rate), join(seg_rate).c_str());
-  r.note("  energy_mj       %10.4f mJ   per request, median over segments, meter backend %s",
-         median(seg_mj), meter_name.c_str());
+  r.note("  throughput_rps  %10.1f req/s correct answers, median over windows (%s)",
+         median(win_rate), join(win_rate).c_str());
+  r.note("  energy_mj       %10.4f mJ   per request, median over windows, meter backend %s",
+         median(win_mj), meter_name.c_str());
   r.note("  accurate_share  %10.4f ratio (%llu accurate, %llu approximate of %llu)",
          per(static_cast<double>(acc), static_cast<double>(att)),
          static_cast<unsigned long long>(acc), static_cast<unsigned long long>(approx),
@@ -650,7 +700,7 @@ Result run_serve_closed(const Options& o) {
   double traced_s = 0.0, ratio_mean = 0.0;
   for (std::size_t i = 0; i < segs.size(); ++i) {
     if (!seg_traced[i]) continue;
-    traced_s += segs[i].window_s;
+    traced_s += segs[i].seconds;
     ratio_mean += segs[i].ratio_mean;
   }
   ratio_mean = per(ratio_mean, traced_segments);
@@ -691,7 +741,7 @@ Result run_serve_closed(const Options& o) {
          "on %zu of %zu requests (needs 99.9%%)", st.complete - st.closure_fail, st.complete);
   const double tp50 = median(traced_p50);
   r.note("  tracing overhead: latency_ms_p50 %.4f traced vs %.4f untraced (%+.1f%%), "
-         "each the median over its segments", tp50, p50, 100.0 * per(tp50 - p50, p50));
+         "each the median over its windows", tp50, p50, 100.0 * per(tp50 - p50, p50));
   if (!closes(st.complete, st.closure_fail)) r.valid = false;
   if (!o.trace_out.empty() && !trace::write_chrome(spans, o.trace_out, kChromeEvents)) {
     r.note("could not write %s", o.trace_out.c_str());
