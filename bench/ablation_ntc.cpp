@@ -3,12 +3,14 @@
 // Sobel at several ratios on 4 workers, converting 0/1/2 of them into
 // near-threshold-voltage cores that only run approximate tasks.  The model
 // charges NTC busy time ~30% of nominal dynamic power, so energy drops as
-// more approximate work lands there; with fault injection enabled the
-// quality cost of unreliability becomes visible (faulted tasks drop their
-// rows).
+// more approximate work lands there; with a fault plan armed the quality
+// cost of unreliability becomes visible (faulted tasks drop their rows).
+// The NTC silent failure is the fault framework's TaskCorrupt site, so
+// the fault rows need a build with SIGRT_FAULT_INJECTION on.
 #include <cstdio>
 
 #include "apps/sobel.hpp"
+#include "fault/fault.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -28,9 +30,15 @@ int main() {
         o.common.variant = Variant::GTBMaxBuffer;
         o.common.workers = 4;
         o.common.unreliable_workers = ntc;
-        o.common.unreliable_fault_rate = fault;
         o.ratio_override = ratio;
+        // Armed around the run only: approximate rows executed on an NTC
+        // worker drop with probability `fault`.
+        sigrt::fault::FaultPlan plan;
+        plan.seed = o.common.seed;
+        plan.with(sigrt::fault::Site::TaskCorrupt, fault);
+        if (fault > 0.0) sigrt::fault::arm(plan);
         const RunResult r = sobel::run(o);
+        sigrt::fault::disarm();
         t.row()
             .cell(ratio, 2)
             .cell(static_cast<std::size_t>(ntc))

@@ -144,9 +144,9 @@ NestedRecord measure(sigrt::PolicyKind policy, double ratio, unsigned workers,
   sigrt::RuntimeConfig c;
   c.workers = workers;
   c.policy = policy;
-  c.default_ratio = ratio;
   c.record_task_log = false;
   sigrt::Runtime rt(c);
+  rt.set_ratio(sigrt::kDefaultGroup, ratio);
 
   // Warm-up: grow the task pool, the LQH histories and every helping
   // scratch frame to the workload's high-water mark, repeating until a
@@ -246,20 +246,12 @@ DeepChainRecord measure_deep_chain(unsigned rounds) {
 }
 
 // --- barrier wake latency ---------------------------------------------------
-// One round: the root task spawns one sleeper child and spins (yielding)
+// One round: the root task spawns one busy child and spins (yielding)
 // until the child has demonstrably STARTED on the other worker — only then
 // does it enter its in-task barrier, so the child can never be helped
 // inline and the waiter genuinely has to wait for a remote completion.
-// With event wakeup the waiter parks and is woken by the last-child
-// notify; with the polling baseline it sleeps in 50 us slices, so its wake
-// trails the child's end by up to a full slice.  Latency is the gap
-// between the child's end stamp and the waiter's wake stamp — the quantity
-// the >= 2x p99 acceptance gate compares across the two modes.
-
-struct WakeSide {
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-};
+// The waiter parks and is woken by the last-child notify.  Latency is the
+// gap between the child's end stamp and the waiter's wake stamp.
 
 std::int64_t wake_round(sigrt::Runtime& rt) {
   std::atomic<bool> started{false};
@@ -269,10 +261,9 @@ std::int64_t wake_round(sigrt::Runtime& rt) {
     rt.spawn(sigrt::task([&] {
       started.store(true, std::memory_order_seq_cst);
       // Busy-spin, do not sleep: a sleeping child ends on a kernel timer
-      // tick, and timer-slack coalescing would wake the polling waiter on
-      // the same tick — hiding exactly the polling latency this measures.
-      // The spin must also outlast the waiter's pre-sleep yield phase even
-      // on a single-CPU box, where each yield grants this child a full
+      // tick, which would fold timer slack into the measured wake.  The
+      // spin must also outlast the waiter's pre-park yield phase even on a
+      // single-CPU box, where each yield grants this child a full
       // scheduler slice (~1 ms x 16 yields), so it runs for 20 ms.
       const std::int64_t t0 = sigrt::support::now_ns();
       while (sigrt::support::now_ns() - t0 < 20'000'000) {
@@ -291,48 +282,27 @@ std::int64_t wake_round(sigrt::Runtime& rt) {
   return wake.load() - last_end.load();
 }
 
-WakeSide percentiles(std::vector<std::int64_t>& ns) {
-  std::sort(ns.begin(), ns.end());
-  WakeSide s;
-  s.p50_us = static_cast<double>(ns[ns.size() / 2]) * 1e-3;
-  s.p99_us = static_cast<double>(ns[ns.size() * 99 / 100]) * 1e-3;
-  return s;
-}
-
 struct WakeRecord {
   unsigned rounds = 0;
-  WakeSide event;
-  WakeSide poll;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
 };
 
 WakeRecord measure_barrier_wake(unsigned rounds) {
-  const auto make_config = [](bool event_wakeup) {
-    sigrt::RuntimeConfig c;
-    c.workers = 2;
-    c.policy = sigrt::PolicyKind::Agnostic;  // pass-through: untimed parks
-    c.record_task_log = false;
-    c.event_wakeup = event_wakeup;  // false = the PR-5 yield/50 us baseline
-    return c;
-  };
-  // Both runtimes persist across the measurement and rounds alternate
-  // between them, so machine noise lands on both sides equally.
-  sigrt::Runtime rt_event(make_config(true));
-  sigrt::Runtime rt_poll(make_config(false));
-  for (unsigned r = 0; r < 4; ++r) {
-    (void)wake_round(rt_event);
-    (void)wake_round(rt_poll);
-  }
-  std::vector<std::int64_t> ns_event, ns_poll;
-  ns_event.reserve(rounds);
-  ns_poll.reserve(rounds);
-  for (unsigned r = 0; r < rounds; ++r) {
-    ns_event.push_back(wake_round(rt_event));
-    ns_poll.push_back(wake_round(rt_poll));
-  }
+  sigrt::RuntimeConfig c;
+  c.workers = 2;
+  c.policy = sigrt::PolicyKind::Agnostic;  // pass-through: untimed parks
+  c.record_task_log = false;
+  sigrt::Runtime rt(c);
+  for (unsigned r = 0; r < 4; ++r) (void)wake_round(rt);
+  std::vector<std::int64_t> ns;
+  ns.reserve(rounds);
+  for (unsigned r = 0; r < rounds; ++r) ns.push_back(wake_round(rt));
+  std::sort(ns.begin(), ns.end());
   WakeRecord rec;
   rec.rounds = rounds;
-  rec.event = percentiles(ns_event);
-  rec.poll = percentiles(ns_poll);
+  rec.p50_us = static_cast<double>(ns[ns.size() / 2]) * 1e-3;
+  rec.p99_us = static_cast<double>(ns[ns.size() * 99 / 100]) * 1e-3;
   return rec;
 }
 
@@ -487,11 +457,8 @@ int main(int, char**) {
               chain.spares_spawned, chain.allocs);
   std::printf(
       ",\"barrier_wake\":{\"rounds\":%u,"
-      "\"event\":{\"p50_us\":%.2f,\"p99_us\":%.2f},"
-      "\"poll\":{\"p50_us\":%.2f,\"p99_us\":%.2f},\"p99_ratio\":%.2f}",
-      wake.rounds, wake.event.p50_us, wake.event.p99_us, wake.poll.p50_us,
-      wake.poll.p99_us,
-      wake.event.p99_us > 0.0 ? wake.poll.p99_us / wake.event.p99_us : 0.0);
+      "\"event\":{\"p50_us\":%.2f,\"p99_us\":%.2f}}",
+      wake.rounds, wake.p50_us, wake.p99_us);
   std::printf(
       ",\"redo_overhead\":{\"fault_injection_compiled\":%s,\"rounds\":%u,"
       "\"tasks_per_round\":%" PRIu64

@@ -61,8 +61,6 @@ RuntimeConfig runtime_config_for(const CommonOptions& common) {
   rc.lqh_levels = common.lqh_levels;
   rc.steal = common.steal;
   rc.unreliable_workers = common.unreliable_workers;
-  rc.unreliable_fault_rate = common.unreliable_fault_rate;
-  rc.seed = common.seed;
   rc.record_task_log = true;
   return rc;
 }

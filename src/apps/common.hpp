@@ -72,8 +72,7 @@ struct CommonOptions {
   std::size_t gtb_buffer = 16;   ///< bounded-GTB window size
   unsigned lqh_levels = 101;     ///< LQH discrete significance levels
   bool steal = true;             ///< work stealing between worker queues
-  unsigned unreliable_workers = 0;     ///< NTC cores (§6 extension)
-  double unreliable_fault_rate = 0.0;  ///< silent-failure probability on NTC
+  unsigned unreliable_workers = 0;  ///< NTC cores (§6 extension)
   std::uint64_t seed = 42;
 };
 

@@ -4,9 +4,8 @@
 //
 // Why this exists: an in-task taskwait is a *helping* barrier — the waiter
 // keeps executing other tasks — but when nothing is acquirable the awaited
-// children are in flight on other threads and, before this header, the
-// waiter could only poll (yield escalating to 50 µs sleeps).  Completions
-// now notify the waiter directly:
+// children are in flight on other threads, and the waiter should sleep
+// until they finish rather than poll.  Completions notify it directly:
 //
 //   waiter                                 completer (last child)
 //   ------                                 ---------

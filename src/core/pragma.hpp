@@ -18,9 +18,10 @@
 //   // #pragma omp taskwait label(sobel) ratio(0.35)
 //   omp_taskwait(rt).label("sobel").ratio(0.35);
 //
-// Clause semantics match the paper exactly; see DESIGN.md §2 for the
-// substitution rationale.  The statement "executes" at the end of the full
-// expression (destructor), like a pragma applying to the following line.
+// Clause semantics match the paper exactly; only the spelling differs,
+// because C++ cannot add pragmas without a compiler pass.  The statement
+// "executes" at the end of the full expression (destructor), like a pragma
+// applying to the following line.
 //
 // Nesting works exactly as in OpenMP: a task body may itself issue
 // omp_task (the child parents to the enclosing task) and omp_taskwait

@@ -9,7 +9,6 @@
 #include "core/parker.hpp"
 #include "core/topology.hpp"
 #include "fault/fault.hpp"
-#include "support/rng.hpp"
 #include "support/timer.hpp"
 
 namespace sigrt {
@@ -70,22 +69,6 @@ struct ScratchPool {
 };
 thread_local ScratchPool tls_scratch_pool;
 
-// Dependence-tracker stripe count: explicit config wins (snapped to a
-// power of two within the tracker's mask-width ceiling), otherwise the CPU
-// topology recommends ~4 stripes per worker.
-unsigned resolve_dep_stripes(const RuntimeConfig& config) {
-  const unsigned workers = config.workers == 0 ? 1 : config.workers;
-  unsigned stripes = config.dep_stripes != 0
-                         ? config.dep_stripes
-                         : topo::system_topology().recommended_stripes(workers);
-  if (stripes < 1) stripes = 1;
-  if (stripes > dep::BlockTracker::kMaxStripes) {
-    stripes = dep::BlockTracker::kMaxStripes;
-  }
-  while ((stripes & (stripes - 1)) != 0) stripes &= stripes - 1;  // floor pow2
-  return stripes;
-}
-
 CompletionScratch* acquire_scratch() {
   if (CompletionScratch* s = tls_scratch_pool.head) {
     tls_scratch_pool.head = s->next;
@@ -110,7 +93,10 @@ TaskId current_task_id() noexcept {
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(config),
-      tracker_(config.block_bytes, resolve_dep_stripes(config)),
+      // Dependence-tracker stripes: the CPU topology recommends ~4 per
+      // worker, a power of two within the tracker's mask-width ceiling.
+      tracker_(config.block_bytes,
+               topo::system_topology().recommended_stripes(config.workers)),
       policy_(make_policy(config)),
       pass_through_(policy_->pass_through()),
       group_table_(new std::atomic<TaskGroup*>[kGroupFastTableSize]),
@@ -118,8 +104,8 @@ Runtime::Runtime(RuntimeConfig config)
   for (std::size_t i = 0; i < kGroupFastTableSize; ++i) {
     group_table_[i].store(nullptr, std::memory_order_relaxed);
   }
-  groups_.push_back(std::make_unique<TaskGroup>(
-      kDefaultGroup, "default", config_.default_ratio, config_.record_task_log));
+  groups_.push_back(std::make_unique<TaskGroup>(kDefaultGroup, "default", 1.0,
+                                                config_.record_task_log));
   publish_group(kDefaultGroup, groups_.back().get());
 
   // The scheduler's dequeue hook is the policy's worker-side decision point
@@ -127,12 +113,6 @@ Runtime::Runtime(RuntimeConfig config)
   // worker-local history, with no locks on the path.  The hooks are plain
   // function pointers over `this` — captureless trampolines, no
   // std::function type erasure anywhere on the execute path.
-  // Elastic-pool sizing rides the config; event_wakeup=false is the pure
-  // PR-5 baseline, so it also zeroes the spare budget (no handoffs ever).
-  SchedulerOptions sched_options;
-  sched_options.max_spares =
-      config_.event_wakeup ? config_.max_spare_threads : 0;
-  sched_options.spare_grace = std::chrono::milliseconds(config_.spare_grace_ms);
   scheduler_ = std::make_unique<Scheduler>(
       config_.workers, config_.unreliable_workers, config_.steal, this,
       [](void* self, Task& task, unsigned worker) {
@@ -140,8 +120,7 @@ Runtime::Runtime(RuntimeConfig config)
       },
       [](void* self, Task& task, unsigned worker) {
         static_cast<Runtime*>(self)->classify_at_dequeue(task, worker);
-      },
-      sched_options);
+      });
 
   meter_ = energy::make_best_meter(this);
 }
@@ -243,15 +222,14 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   // §6 check/redo: an accurate task whose validator + redo budget make a
   // corrupted result recoverable may execute on unreliable workers — the
   // partition rule (Scheduler::eligible_for_unreliable) reads this flag.
-  task->unreliable_ok = config_.checked_tasks_on_unreliable &&
-                        task->check && task->max_redos > 0 &&
+  task->unreliable_ok = task->check && task->max_redos > 0 &&
                         config_.unreliable_workers > 0;
   task->significance =
       static_cast<float>(std::clamp(options.significance, 0.0, 1.0));
   task->group = options.group;
   // Multi-producer id mint: serve dispatchers, user threads and task bodies
   // all spawn concurrently now, and ids must stay unique — they key the
-  // deterministic stream_rng fault stream and task-log attribution.  One
+  // deterministic fault-injection streams and task-log attribution.  One
   // relaxed fetch_add; uniqueness needs no ordering.
   task->id = next_task_id_.fetch_add(1, std::memory_order_relaxed);
   task->internal = internal;
@@ -291,11 +269,10 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
     // on a slot-owning reliable worker (the task is still Undecided and
     // must not execute on an unreliable core), and only to a bounded
     // inline depth — each inlined body may spawn over a still-full queue.
-    if (config_.spawn_inline_watermark != 0 &&
-        tls_inline_spawn_depth < kMaxInlineSpawnDepth &&
+    if (tls_inline_spawn_depth < kMaxInlineSpawnDepth &&
         scheduler_->owns_current_slot() &&
         !scheduler_->current_worker_unreliable() &&
-        scheduler_->own_queue_depth() > config_.spawn_inline_watermark) {
+        scheduler_->own_queue_depth() > kSpawnInlineWatermark) {
       ++tls_inline_spawn_depth;
       inline_spawns_.fetch_add(1, std::memory_order_relaxed);
       scheduler_->run_now(task.detach());  // donate the spawner's reference
@@ -414,15 +391,12 @@ void Runtime::execute_task(Task& task, unsigned worker) {
   }
   // §6 extension: approximate tasks on NTC workers may silently fail; the
   // runtime then treats them as dropped (dependents still release).  The
-  // fault stream is deterministic per (seed, task id).
-  if (kind == ExecutionKind::Approximate &&
-      config_.unreliable_fault_rate > 0.0 &&
-      scheduler_->is_unreliable(worker)) {
-    auto rng = support::stream_rng(config_.seed, task.id);
-    if (rng.uniform() < config_.unreliable_fault_rate) {
-      kind = ExecutionKind::Dropped;
-      faults_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // failure is the TaskCorrupt site, deterministic per (plan seed, task id).
+  if (kind == ExecutionKind::Approximate && scheduler_->is_unreliable(worker) &&
+      fault::armed() &&
+      fault::should_fire(fault::Site::TaskCorrupt, task.id)) {
+    kind = ExecutionKind::Dropped;
+    faults_.fetch_add(1, std::memory_order_relaxed);
   }
   // Normalize before running/completing: a policy that declines to decide
   // must not leak Undecided into completion — the no-op accounting branch
@@ -595,12 +569,12 @@ void Runtime::execute_task(Task& task, unsigned worker) {
   // before the barrier opens; then drop the child's pin on the parent.
   if (Task* parent = task.parent) {
     if (parent->children.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last child: wake a parked taskwait waiter (event_wakeup).  The
-      // fence pairs Dekker-style with the waiter's register-then-recheck
-      // (see parker.hpp): either this load sees the registered handle, or
-      // the waiter's post-registration recheck sees children == 0.  The
-      // notify must precede parent->release(): the waiter slot lives in
-      // the parent, which this release may recycle.
+      // Last child: wake a parked taskwait waiter.  The fence pairs
+      // Dekker-style with the waiter's register-then-recheck (see
+      // parker.hpp): either this load sees the registered handle, or the
+      // waiter's post-registration recheck sees children == 0.  The notify
+      // must precede parent->release(): the waiter slot lives in the
+      // parent, which this release may recycle.
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (BarrierWaiter* w = parent->waiter.load(std::memory_order_acquire)) {
         w->notify();
@@ -628,33 +602,29 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
   // then inbox/steals.
   //
   // Each nested barrier frame deepens the C++ stack by whatever the helped
-  // bodies use, so helping depth is capped (config_.helping_depth): a
-  // waiter past the cap hands its worker slot to a spare thread
-  // (detach_for_blocking) and blocks for real — parallelism survives on
-  // the spare, the stack stops growing here.  When the spare budget is
-  // exhausted, liveness wins over the stack bound and the waiter keeps
-  // helping.
+  // bodies use, so helping depth is capped (kHelpingDepth): a waiter past
+  // the cap hands its worker slot to a spare thread (detach_for_blocking)
+  // and blocks for real — parallelism survives on the spare, the stack
+  // stops growing here.  When the spare budget is exhausted, liveness wins
+  // over the stack bound and the waiter keeps helping.
   struct DepthFrame {
     unsigned& depth;
     explicit DepthFrame(unsigned& d) : depth(d) { ++depth; }
     ~DepthFrame() { --depth; }
   } depth_frame(tls_help_depth);
 
-  // Event-driven wakeup needs a completion-side scope to hook: a task's
-  // last child (wtask) or a group's quiescence (wgroup).  Without one
-  // (wait_on's fence flag), or with event_wakeup off, fall back to the
-  // poll backoff — yield escalating to 50 µs sleeps, the PR-5 baseline.
-  const bool event = config_.event_wakeup && !scheduler_->inline_mode() &&
-                     (wtask != nullptr || wgroup != nullptr);
+  // Inline mode has no other thread that could complete the awaited work:
+  // helping and flushing are the only ways forward, so it never parks.
+  const bool may_park = !scheduler_->inline_mode();
   // Blocked mode: this thread no longer owns a worker slot (an enclosing
   // barrier or BlockingSection already detached it) — it must not execute
   // further task bodies on this stack, only park on its Parker.
-  bool blocked_mode = event && !scheduler_->owns_current_slot();
+  bool blocked_mode = may_park && !scheduler_->owns_current_slot();
 
   BarrierWaiter* waiter = nullptr;  // registered lazily, on first park
   int idle = 0;
   while (!done()) {
-    if (event && !blocked_mode && tls_help_depth > config_.helping_depth &&
+    if (!blocked_mode && tls_help_depth > kHelpingDepth &&
         scheduler_->detach_for_blocking()) {
       blocked_mode = true;
     }
@@ -672,10 +642,7 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
     // entry-time flush cannot have seen it — without this the awaited task
     // sits in the buffer forever.
     if (!pass_through_) policy_->flush(kAllGroups, *this);
-    if (!event) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
-    }
+    if (!may_park) continue;
     // Park until the completion side notifies (see parker.hpp for the
     // Dekker pairing with the completer).  Registration happens once and
     // stays in place across parks; buffering policies use timed parks so
@@ -740,7 +707,7 @@ void Runtime::wait_all() {
         [self] {
           return self->children.load(std::memory_order_acquire) == 0;
         },
-        /*wtask=*/self);
+        /*wtask=*/self, /*wgroup=*/nullptr);
     rethrow_pending_error();
     return;
   }
@@ -825,17 +792,28 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
   policy_->flush(kAllGroups, *this);
 
   // A fence task with an in() clause on the range depends on exactly the
-  // pending writers of that range; its completion raises `done`.  The
-  // flag lives on this stack frame: both exits below strictly outlive the
-  // fence's completion.
+  // pending writers of that range; its body raises `done`.  The flag lives
+  // on this stack frame: both exits below strictly outlive that store, and
+  // the body touches nothing on this frame after it.
   std::atomic<bool> done{false};
-  const bool helping =
-      tls_task_frame.runtime == this && tls_task_frame.task != nullptr;
+  Task* self = tls_task_frame.runtime == this ? tls_task_frame.task : nullptr;
   TaskOptions fence;
-  fence.accurate = [this, &done] {
+  fence.accurate = [this, &done, self] {
     done.store(true, std::memory_order_release);
-    // Blocking (non-helping) waiters sleep on wait_cv_; the lock/notify
-    // pair closes their check-then-sleep window.  Helping waiters poll.
+    if (self != nullptr) {
+      // In-task waiter: the fence is a child of `self` (which it pins), so
+      // the waiter is registered on `self` — wake it exactly as the
+      // last-child decrement does, fence before the load (parker.hpp).
+      // Other children may still be pending, so that decrement alone
+      // would not.
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (BarrierWaiter* w = self->waiter.load(std::memory_order_acquire)) {
+        w->notify();
+      }
+      return;
+    }
+    // Blocking waiters sleep on wait_cv_; the lock/notify pair closes
+    // their check-then-sleep window.
     support::MutexLock lock(wait_mutex_);
     wait_cv_.notify_all();
   };
@@ -843,8 +821,9 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
   fence.group = kDefaultGroup;
   fence.accesses.push_back({ptr, bytes, dep::Mode::In});
   spawn_impl(std::move(fence), /*internal=*/true);
-  if (helping) {
-    help_until([&done] { return done.load(std::memory_order_acquire); });
+  if (self != nullptr) {
+    help_until([&done] { return done.load(std::memory_order_acquire); },
+               /*wtask=*/self, /*wgroup=*/nullptr);
   } else {
     // blocking_wait's re-flush also covers the fence: a concurrent
     // spawner may have registered a writer of this range in the tracker
@@ -858,7 +837,6 @@ bool Runtime::begin_blocking() {
   // Only meaningful from inside a task body of this runtime: the handoff
   // trades the worker slot for a spare thread so the pool keeps its width
   // while this body blocks on something external.
-  if (!config_.event_wakeup) return false;
   if (tls_task_frame.runtime != this || tls_task_frame.task == nullptr) {
     return false;
   }

@@ -77,9 +77,11 @@ struct RuntimeStats {
   std::uint64_t steals = 0;
   std::uint64_t dep_edges = 0;
   /// Spawns executed inline on the spawner by the work-first throttle
-  /// (own queue above spawn_inline_watermark).
+  /// (own queue above Runtime::kSpawnInlineWatermark).
   std::uint64_t inline_spawns = 0;
-  /// Approximate tasks lost to injected NTC faults (§6 extension).
+  /// Approximate tasks dropped by an armed fault plan: the TaskCorrupt
+  /// site on an unreliable worker (the §6 NTC silent failure) or the
+  /// TaskCrash site in the approximate body.
   std::uint64_t faults = 0;
   /// Accurate re-executions after a body fault or check() rejection
   /// (summed over groups; one count per re-execution).
@@ -92,6 +94,17 @@ struct RuntimeStats {
 
 class Runtime final : public energy::ActivitySource, private IssueSink {
  public:
+  /// Helping-depth cap: an in-task barrier nested deeper than this many
+  /// helping frames on one thread stops helping (C++ stack depth tracks
+  /// helping depth) and blocks after handing its slot to a spare thread.
+  static constexpr unsigned kHelpingDepth = 16;
+
+  /// Work-first spawn throttle: when a worker's own queues hold more than
+  /// this many tasks, a dependency-free spawn under a pass-through policy
+  /// runs inline on the spawner (the OpenMP task-creation cutoff), so
+  /// queue memory stays bounded at extreme fan-out.
+  static constexpr unsigned kSpawnInlineWatermark = 256;
+
   explicit Runtime(RuntimeConfig config = {});
 
   /// Quiesces (flush + wait) and joins the workers.  Pending task errors are
@@ -165,8 +178,9 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   /// thread so the pool keeps its parallelism while the body blocks;
   /// returns true when a handoff happened.  One-way per episode: the
   /// thread re-pools when the task body unwinds, not when this returns.
-  /// No-op (false) from non-worker threads, in inline mode, or when
-  /// event_wakeup/max_spare_threads disable the elastic pool.
+  /// No-op (false) outside a task body of this runtime, in inline mode,
+  /// on a thread that already handed its slot off, and while the spare
+  /// budget is exhausted (Scheduler::detach_for_blocking).
   bool begin_blocking();
 
   /// Elastic-pool counters (handoffs, spares, steal locality).
@@ -211,16 +225,16 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   void classify_at_dequeue(Task& task, unsigned worker);
   void spawn_impl(TaskOptions&& options, bool internal);
   /// Helping barrier core: runs/steals tasks on the calling thread until
-  /// `done()` holds.  With event_wakeup, a waiter that finds nothing
-  /// acquirable registers a BarrierWaiter on `wtask` (children scope) or
-  /// `wgroup` (quiescence scope) and parks — on its eventcount slot while
-  /// it owns one, on its Parker once it has handed the slot to a spare
-  /// (helping depth past the cap, or an enclosing begin_blocking()).  With
-  /// neither scope given — or event_wakeup off — it backs off by polling
-  /// (yield, then 50 µs sleeps), the PR-5 baseline.  Only entered from
-  /// inside a task body of this runtime.
+  /// `done()` holds.  A waiter that finds nothing acquirable registers a
+  /// BarrierWaiter on `wtask` (children scope) or else on `wgroup`
+  /// (quiescence scope) and parks — on its eventcount slot while it owns
+  /// one, on its Parker once it has handed the slot to a spare (helping
+  /// depth past kHelpingDepth, or an enclosing begin_blocking()).  The
+  /// completion side of the scope notifies it.  Inline mode helps and
+  /// flushes but never parks.  Only entered from inside a task body of
+  /// this runtime.
   template <typename Done>
-  void help_until(Done done, Task* wtask = nullptr, TaskGroup* wgroup = nullptr);
+  void help_until(Done done, Task* wtask, TaskGroup* wgroup);
   /// Blocking barrier core (non-task threads), on wait_mutex_/wait_cv_:
   /// a pure wake-driven sleep under pass-through policies, a 1 ms timed
   /// loop re-flushing the policy under buffering ones — a task body may

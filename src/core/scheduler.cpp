@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "core/topology.hpp"
 #include "support/timer.hpp"
 
 namespace sigrt {
@@ -36,15 +37,12 @@ thread_local std::uint64_t tls_inner_cycles = 0;
 }  // namespace
 
 Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
-                     void* ctx, ExecuteFn execute, DequeueFn on_dequeue,
-                     SchedulerOptions options)
+                     void* ctx, ExecuteFn execute, DequeueFn on_dequeue)
     : steal_enabled_(steal),
       ctx_(ctx),
       execute_(execute),
       on_dequeue_(on_dequeue),
-      ec_(workers),
-      max_spares_(options.max_spares),
-      spare_grace_(options.spare_grace) {
+      ec_(workers) {
   assert(execute_ != nullptr && "scheduler needs an execute callback");
   worker_total_ = workers;
   if (workers > 0) {
@@ -53,9 +51,7 @@ Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
   } else {
     reliable_count_ = 1;  // the inline pseudo-worker (index 0) is reliable
   }
-  const topo::Topology& topology = options.topology != nullptr
-                                       ? *options.topology
-                                       : topo::system_topology();
+  const topo::Topology& topology = topo::system_topology();
   slots_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
     auto slot = std::make_unique<WorkerSlot>();
@@ -686,7 +682,7 @@ void Scheduler::thread_main(PoolThread* self, int slot) {
       // cannot see through the lambda, so free_slots_ is re-checked on the
       // loop above instead.
       const bool signaled =
-          pool_cv_.wait_for(lk.native(), spare_grace_, [this]() SIGRT_NO_THREAD_SAFETY_ANALYSIS {
+          pool_cv_.wait_for(lk.native(), kSpareGrace, [this]() SIGRT_NO_THREAD_SAFETY_ANALYSIS {
             return stopping_.load(std::memory_order_acquire) ||
                    !free_slots_.empty();
           });
@@ -727,12 +723,11 @@ void Scheduler::spawn_pool_thread_locked(int slot) {
 
 bool Scheduler::detach_for_blocking() {
   if (inline_mode() || tls_scheduler != this || !tls_owns_slot) return false;
-  if (max_spares_ == 0) return false;
   {
     support::MutexLock lk(pool_mutex_);
     if (stopping_.load(std::memory_order_acquire)) return false;
     const bool idle_available = idle_spares_ > 0;
-    if (!idle_available && live_threads_ >= worker_total_ + max_spares_) {
+    if (!idle_available && live_threads_ >= worker_total_ + kMaxSpares) {
       return false;  // budget exhausted: caller must keep helping
     }
     free_slots_.push_back(tls_worker);

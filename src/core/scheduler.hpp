@@ -67,7 +67,6 @@
 #include "core/chase_lev_deque.hpp"
 #include "core/eventcount.hpp"
 #include "core/task.hpp"
-#include "core/topology.hpp"
 #include "support/mutex.hpp"
 #include "support/rng.hpp"
 
@@ -90,17 +89,6 @@ struct PoolStats {
   std::uint64_t far_steals = 0;      ///< deque steals across packages
 };
 
-/// Elastic-pool tuning, normally filled from RuntimeConfig.
-struct SchedulerOptions {
-  /// Spare threads allowed beyond the base worker count; 0 disables slot
-  /// handoff (detach_for_blocking always fails).
-  unsigned max_spares = 16;
-  /// Idle grace before a surplus spare retires.
-  std::chrono::milliseconds spare_grace{5};
-  /// Topology driving the steal order; nullptr probes the host.
-  const topo::Topology* topology = nullptr;
-};
-
 class Scheduler {
  public:
   /// `execute` runs one task on the given worker index; it must not throw
@@ -116,10 +104,9 @@ class Scheduler {
 
   /// The last `unreliable` workers only execute tasks already classified
   /// Approximate/Dropped (see RuntimeConfig::unreliable_workers); clamped
-  /// to workers-1.
+  /// to workers-1.  The steal order follows the host topology.
   Scheduler(unsigned workers, unsigned unreliable, bool steal, void* ctx,
-            ExecuteFn execute, DequeueFn on_dequeue = nullptr,
-            SchedulerOptions options = {});
+            ExecuteFn execute, DequeueFn on_dequeue = nullptr);
 
   /// Releases every parked worker, drains visible work, joins, and (in
   /// debug builds) asserts that every deque and inbox is empty.
@@ -167,8 +154,8 @@ class Scheduler {
   /// acquirable, or when the calling thread is neither a worker of this
   /// scheduler nor the inline-mode owner.  Re-entrant: the executed body
   /// may itself spawn, wait (help), or throw (captured by the runtime).
-  /// Never parks — a helping waiter must stay responsive to its own
-  /// barrier condition, which no eventcount signal announces.
+  /// Never parks — the helping waiter parks itself, through
+  /// park_worker_for_barrier, once nothing is acquirable.
   bool help_one();
 
   // --- elastic pool (threads are fungible, slots are identity) -----------
@@ -181,7 +168,7 @@ class Scheduler {
   // current task body (its enqueues route remotely, its completions go to
   // shared counters) but can no longer help or pop; when its body unwinds
   // it re-enters the spare pool, where surplus threads retire after an
-  // idle grace period.  The pool is bounded (base workers + max_spares),
+  // idle grace period.  The pool is bounded (base workers + kMaxSpares),
   // so a detach can fail — callers must then keep helping instead.
 
   /// Hands the calling worker's slot to a spare thread so the caller may
@@ -370,8 +357,12 @@ class Scheduler {
   std::atomic<bool> stopping_{false};
 
   // --- elastic pool state (all guarded by pool_mutex_ unless atomic) -----
-  unsigned max_spares_ = 0;
-  std::chrono::milliseconds spare_grace_{5};
+  /// Spare threads allowed beyond the base worker count.  When the budget
+  /// is exhausted a too-deep waiter keeps helping (liveness over the stack
+  /// bound).
+  static constexpr unsigned kMaxSpares = 16;
+  /// Idle grace before a surplus spare retires.
+  static constexpr std::chrono::milliseconds kSpareGrace{5};
   mutable support::Mutex pool_mutex_;
   std::condition_variable pool_cv_;
   std::vector<std::unique_ptr<PoolThread>> pool_threads_

@@ -86,9 +86,10 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
   std::atomic<std::uint32_t> children{0};
 
   /// Event-driven taskwait: the (single) thread blocked in this task's
-  /// in-task taskwait parks behind this handle.  The completing side of the
-  /// last child reads it after its `children` decrement (Dekker pairing
-  /// with the waiter's register-then-recheck) and calls notify().  Handles
+  /// in-task wait_all() or wait_on() parks behind this handle.  The
+  /// completing side of the last child — or the body of a wait_on fence,
+  /// itself a child — reads it after a seq_cst fence (Dekker pairing with
+  /// the waiter's register-then-recheck) and calls notify().  Handles
   /// are pooled immortally (core/parker.hpp), so a stale notify racing a
   /// waiter's retirement touches live memory and is at worst a spurious
   /// wake.

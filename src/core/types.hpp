@@ -76,45 +76,6 @@ struct RuntimeConfig {
   /// Block granularity of the dependence tracker (power of two, bytes).
   std::size_t block_bytes = 1024;
 
-  /// Dependence-tracker stripe count (power of two, at most 64 — the
-  /// stripe mask is one uint64_t).  0 selects a topology-derived default
-  /// (~4 stripes per worker, clamped to [8, 64]).
-  unsigned dep_stripes = 0;
-
-  // --- elastic pool & barriers (PR 8) ------------------------------------
-
-  /// Event-driven barrier wakeup: in-task taskwait waiters that find no
-  /// acquirable work park on their eventcount slot and are woken by the
-  /// last-child completion (or group quiescence), and helping past the
-  /// depth cap hands the worker slot to a spare thread and blocks.  false
-  /// restores the PR-5 behaviour — pure yield/50 µs polling, no depth cap,
-  /// no spares — kept selectable as the A/B baseline for the barrier
-  /// latency bench.
-  bool event_wakeup = true;
-
-  /// Per-thread helping-depth cap: an in-task barrier nested deeper than
-  /// this many helping frames stops helping (C++ stack depth tracks
-  /// helping depth) and blocks after handing its deque to a spare thread.
-  /// Ignored when event_wakeup is false.
-  unsigned helping_depth = 16;
-
-  /// Upper bound on spare threads the scheduler may run beyond `workers`.
-  /// When the budget is exhausted a too-deep waiter keeps helping (stack
-  /// bound yields to liveness).  0 disables slot handoff entirely.
-  unsigned max_spare_threads = 16;
-
-  /// Idle grace period before a surplus spare thread retires.
-  unsigned spare_grace_ms = 5;
-
-  /// Work-first spawn throttle: when a worker's own queues hold more than
-  /// this many tasks, a dependency-free spawn under a pass-through policy
-  /// runs inline on the spawner (OpenMP-style task-creation cutoff) —
-  /// memory stays bounded at extreme fan-out.  0 disables the throttle.
-  unsigned spawn_inline_watermark = 256;
-
-  /// Ratio applied to groups created implicitly (including group 0).
-  double default_ratio = 1.0;
-
   /// Record a per-task (significance, kind) log used for Table 2's
   /// significance-inversion and ratio-deviation metrics.  Negligible cost;
   /// disable for overhead measurements of the bare scheduler.
@@ -124,25 +85,14 @@ struct RuntimeConfig {
 
   /// Number of workers (taken from the top of the worker index range)
   /// modeled as near-threshold-voltage, unreliable cores.  Accurate tasks
-  /// are only issued to — and stolen by — reliable workers; tasks already
-  /// classified approximate (or droppable) may run anywhere.  Clamped to
-  /// workers-1 so at least one reliable worker always exists.
+  /// are only issued to — and stolen by — reliable workers, unless they
+  /// carry a check() validator and a redo budget (a rejected result is
+  /// re-executed on a reliable worker — the §6 check/redo contract); tasks
+  /// already classified approximate (or droppable) may run anywhere.  An
+  /// armed fault::Site::TaskCorrupt plan silently drops approximate tasks
+  /// that run here.  Clamped to workers-1 so at least one reliable worker
+  /// always exists.
   unsigned unreliable_workers = 0;
-
-  /// Probability that an approximate task executing on an unreliable worker
-  /// silently fails; the runtime then treats it as dropped (its dependents
-  /// still release).  Deterministic per task id given `seed`.
-  double unreliable_fault_rate = 0.0;
-
-  /// Seed for the fault-injection stream.
-  std::uint64_t seed = 0x5eed;
-
-  /// Allow accurate tasks that carry a check() validator and a redo budget
-  /// to execute on unreliable workers: the validator makes corruption
-  /// detectable, and a rejected result is re-executed on a reliable worker
-  /// (the paper's §6 check/redo contract).  Unchecked accurate tasks are
-  /// always pinned to reliable workers regardless of this flag.
-  bool checked_tasks_on_unreliable = true;
 
   [[nodiscard]] static unsigned default_workers() {
     const unsigned hw = std::thread::hardware_concurrency();

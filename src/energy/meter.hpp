@@ -5,8 +5,11 @@
 //   * RaplMeter   — reads the Linux powercap sysfs interface when present.
 //   * ModelMeter  — a calibrated activity-based model of the paper's machine,
 //                   used when RAPL is unavailable (e.g. containers, non-Intel
-//                   hosts).  See DESIGN.md §2 for why the substitution
-//                   preserves the paper's relative results.
+//                   hosts).  The substitution preserves the paper's
+//                   relative results: its policies save energy by finishing
+//                   sooner with less busy core time, and the model charges
+//                   static power per wall second and dynamic power per
+//                   busy second.
 // Both expose one cumulative counter so measurement scopes are identical
 // regardless of backend.
 #pragma once

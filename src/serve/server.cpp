@@ -23,10 +23,10 @@ RuntimeConfig serving_config(RuntimeConfig c) {
   }
   // The per-task log grows forever under open-ended traffic.
   c.record_task_log = false;
-  // Every admitted request must complete exactly one body; NTC fault
-  // injection silently drops approximate tasks without running them.
+  // Every admitted request must complete exactly one body; an armed
+  // TaskCorrupt plan silently drops approximate tasks on NTC workers
+  // without running them.
   c.unreliable_workers = 0;
-  c.unreliable_fault_rate = 0.0;
   return c;
 }
 

@@ -62,8 +62,8 @@ Image read_pgm(const std::string& path);
 /// Deterministic synthetic test image: a mix of smooth gradients, concentric
 /// rings and high-frequency texture.  Exercises both the low-frequency bands
 /// DCT considers significant and the edges Sobel detects, so the synthetic
-/// input is a faithful stand-in for the paper's photographic inputs (see
-/// DESIGN.md §2 "Substitutions").
+/// input is a faithful stand-in for the paper's photographic inputs, which
+/// are not distributed with it.
 Image synthetic_image(std::size_t width, std::size_t height,
                       std::uint64_t seed = 42);
 

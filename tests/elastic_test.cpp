@@ -50,9 +50,7 @@ bool eventually(Pred pred, int deadline_ms = 2000) {
 // --- inflate / deflate oracle --------------------------------------------
 
 TEST(ElasticPool, BlockingHandoffInflatesThenPoolDeflatesAfterGrace) {
-  RuntimeConfig c = pool_config(2);
-  c.spare_grace_ms = 5;
-  Runtime rt(c);
+  Runtime rt(pool_config(2));
 
   // A task body that blocks outside the runtime hands its slot to a spare
   // so the sibling task still has two workers' worth of parallelism.
@@ -85,22 +83,9 @@ TEST(ElasticPool, BlockingHandoffInflatesThenPoolDeflatesAfterGrace) {
       << rt.pool_stats().live_threads;
 }
 
-TEST(ElasticPool, BeginBlockingIsANoOpOffWorkerAndWhenDisabled) {
-  {
-    Runtime rt(pool_config(2));
-    EXPECT_FALSE(rt.begin_blocking());  // not a task body: nothing to hand off
-  }
-  {
-    // event_wakeup=false is the strict PR-5 baseline: no spares at all.
-    RuntimeConfig c = pool_config(2);
-    c.event_wakeup = false;
-    Runtime rt(c);
-    std::atomic<bool> detached{true};
-    rt.spawn(sigrt::task([&] { detached.store(rt.begin_blocking()); }));
-    rt.wait_all();
-    EXPECT_FALSE(detached.load());
-    EXPECT_EQ(rt.pool_stats().spares_spawned, 0u);
-  }
+TEST(ElasticPool, BeginBlockingIsANoOpOffWorker) {
+  Runtime rt(pool_config(2));
+  EXPECT_FALSE(rt.begin_blocking());  // not a task body: nothing to hand off
 }
 
 // --- deep recursion: helping nesting stays bounded -----------------------
@@ -130,9 +115,7 @@ void chain(Runtime& rt, int depth, std::atomic<int>& visited) {
 
 TEST(ElasticPool, DeepChainKeepsPerThreadNestingUnderHelpingDepthCap) {
   constexpr int kDepth = 128;
-  RuntimeConfig c = pool_config(2);
-  c.helping_depth = 16;
-  Runtime rt(c);
+  Runtime rt(pool_config(2));
   g_max_nesting.store(0);
 
   std::atomic<int> visited{0};
@@ -142,10 +125,11 @@ TEST(ElasticPool, DeepChainKeepsPerThreadNestingUnderHelpingDepthCap) {
   EXPECT_EQ(visited.load(), kDepth);
   // Inline helping nests a child's frame inside its waiting parent's, so
   // native stack growth tracks tls_nesting.  The cap forces a detach
-  // instead of helping past depth 16 — a 128-deep chain must NOT put 128
-  // frames on any one thread.  Slack covers the helping frames a spare
+  // instead of helping past kHelpingDepth — a 128-deep chain must NOT put
+  // 128 frames on any one thread.  Slack covers the helping frames a spare
   // inherits mid-chain before its own counter resets.
-  EXPECT_LE(g_max_nesting.load(), static_cast<int>(c.helping_depth) * 2 + 8);
+  EXPECT_LE(g_max_nesting.load(),
+            static_cast<int>(Runtime::kHelpingDepth) * 2 + 8);
   // The bound is only meaningful if the detach path actually engaged.
   EXPECT_GE(rt.pool_stats().handoffs, 1u);
 }
@@ -157,9 +141,7 @@ TEST(ElasticPool, PoolStaysBalancedAfterBlockingStormsWithFailures) {
   // ledger — slots were actually handed off, and after the storms the pool
   // deflates back to exactly the base worker count instead of leaking a
   // spare per failure.
-  RuntimeConfig c = pool_config(2);
-  c.spare_grace_ms = 5;
-  Runtime rt(c);
+  Runtime rt(pool_config(2));
 
   constexpr int kRounds = 8;
   std::atomic<int> siblings{0};

@@ -20,32 +20,27 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "chaos_test_util.hpp"
 #include "core/sigrt.hpp"
 #include "fault/fault.hpp"
 #include "serve/server.hpp"
 
-// Tests that need faults to actually FIRE are skipped when the hooks are
-// compiled out (-DSIGRT_FAULT_INJECTION=0); the resilience tests that
-// drive their faults through the API (always-false validators, stuck
-// bodies, past deadlines) run in every configuration.
-#if SIGRT_FAULT_INJECTION
-#define SKIP_WITHOUT_INJECTION() (void)0
-#else
-#define SKIP_WITHOUT_INJECTION() \
-  GTEST_SKIP() << "fault injection compiled out"
-#endif
+// Resilience tests that drive their faults through the API (always-false
+// validators, stuck bodies, past deadlines) run in every configuration;
+// the rest need injected faults and call SKIP_WITHOUT_INJECTION().
 
 namespace {
 
 using sigrt::PolicyKind;
 using sigrt::Runtime;
 using sigrt::RuntimeConfig;
+using sigrt::test::ArmedPlan;
+using sigrt::test::chaos_seed;
 
 RuntimeConfig config(unsigned workers) {
   RuntimeConfig c;
@@ -54,27 +49,6 @@ RuntimeConfig config(unsigned workers) {
   c.record_task_log = false;
   return c;
 }
-
-/// CI chaos matrix: SIGRT_CHAOS_SEED (a small decimal) perturbs every plan
-/// seed so the same binary exercises a distinct deterministic fault
-/// schedule per job.  Unset or 0 leaves the baked-in seeds untouched, and
-/// determinism WITHIN a process is unaffected — the env is read once.
-std::uint64_t chaos_seed(std::uint64_t base) {
-  static const std::uint64_t mix = [] {
-    const char* s = std::getenv("SIGRT_CHAOS_SEED");
-    return s ? std::strtoull(s, nullptr, 10) * 0x9E3779B97F4A7C15ull : 0ull;
-  }();
-  return base ^ mix;
-}
-
-/// arm() on construction, disarm() + trace reset on destruction — no test
-/// can leak an armed plan into the rest of the suite.
-struct ArmedPlan {
-  explicit ArmedPlan(const sigrt::fault::FaultPlan& plan) {
-    sigrt::fault::arm(plan);
-  }
-  ~ArmedPlan() { sigrt::fault::disarm(); }
-};
 
 // --- determinism ----------------------------------------------------------
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -213,6 +215,65 @@ TEST(Nested, InTaskWaitOnWaitsRangeWriters) {
   EXPECT_TRUE(checked.load());
 }
 
+class NestedWaitOnRemoteWriter : public ::testing::TestWithParam<PolicyKind> {};
+
+// An in-task wait_on whose writer is already running on another worker
+// leaves the waiter nothing to help, so it parks.  A sibling child stays
+// pending on a third worker until the wait returns, so the fence is never
+// the waiter's last child: only the fence body's own notify can wake an
+// untimed (LQH) park.  GTB with a one-task window releases every spawn at
+// once and parks with a timeout.
+TEST_P(NestedWaitOnRemoteWriter, InTaskWaitOnReturnsWithTheWrittenValue) {
+  RuntimeConfig c = workers_config(3, GetParam());
+  c.gtb_buffer = 1;
+  Runtime rt(c);
+  alignas(1024) static int cell[256];
+  cell[7] = 0;
+  std::atomic<bool> writer_started{false};
+  std::atomic<bool> sibling_started{false};
+  std::atomic<bool> waited{false};
+  std::atomic<bool> sibling_gave_up{false};
+  int seen = 0;
+
+  const auto sibling = [&] {
+    sibling_started.store(true);
+    // Bounded, so a missed wake fails instead of hanging the suite.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!waited.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        sibling_gave_up.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+  const auto writer = [&] {
+    writer_started.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cell[7] = 42;
+  };
+  rt.spawn(sigrt::task([&] {
+             rt.spawn(sigrt::task(sibling).significance(1.0));
+             rt.spawn(sigrt::task(writer).significance(1.0).out(cell, 256));
+             while (!writer_started.load() || !sibling_started.load()) {
+               std::this_thread::yield();
+             }
+             rt.wait_on(cell, sizeof(cell));  // nothing left to help: parks
+             seen = cell[7];
+             waited.store(true);
+           }).significance(1.0));
+  rt.wait_all();
+  EXPECT_EQ(seen, 42);
+  EXPECT_FALSE(sibling_gave_up.load()) << "in-task wait_on missed its wake";
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, NestedWaitOnRemoteWriter,
+                         ::testing::Values(PolicyKind::LQH, PolicyKind::GTB),
+                         [](const ::testing::TestParamInfo<PolicyKind>& info) {
+                           return std::string(sigrt::to_string(info.param));
+                         });
+
 class NestedGtb : public ::testing::TestWithParam<unsigned> {};
 
 // Nested spawn under a buffering policy: children spawned from a task body
@@ -320,39 +381,28 @@ TEST(Nested, BusyTimeStaysExclusiveUnderHelping) {
 
 TEST(Nested, SpawnThrottleRunsInlineAboveWatermarkAndStaysOffBelow) {
   // Work-first throttle: a worker whose own queue is already deeper than
-  // spawn_inline_watermark executes further spawns inline instead of
-  // enqueueing, bounding queue memory on spawn-heavy bodies.
-  constexpr int kSpawns = 256;
-  {
-    RuntimeConfig c = workers_config(1);
-    c.spawn_inline_watermark = 8;
-    Runtime rt(c);
+  // Runtime::kSpawnInlineWatermark executes further spawns inline instead
+  // of enqueueing, bounding queue memory on spawn-heavy bodies.  One
+  // worker and no thieves: the body's own deque grows by one per spawn.
+  const auto fan_out = [](int spawns) {
+    Runtime rt(workers_config(1));
     std::atomic<int> ran{0};
-    rt.spawn(sigrt::task([&rt, &ran] {
-      for (int i = 0; i < kSpawns; ++i) {
+    rt.spawn(sigrt::task([&rt, &ran, spawns] {
+      for (int i = 0; i < spawns; ++i) {
         rt.spawn(sigrt::task([&ran] { ran.fetch_add(1); }));
       }
     }));
     rt.wait_all();
-    EXPECT_EQ(ran.load(), kSpawns);  // inlined spawns must not be lost
-    EXPECT_GT(rt.stats().inline_spawns, 0u);
-  }
-  {
-    // Regression guard: a watermark the queue never reaches must leave
-    // every spawn on the deque (the throttle cannot fire spuriously).
-    RuntimeConfig c = workers_config(1);
-    c.spawn_inline_watermark = 1u << 20;
-    Runtime rt(c);
-    std::atomic<int> ran{0};
-    rt.spawn(sigrt::task([&rt, &ran] {
-      for (int i = 0; i < kSpawns; ++i) {
-        rt.spawn(sigrt::task([&ran] { ran.fetch_add(1); }));
-      }
-    }));
-    rt.wait_all();
-    EXPECT_EQ(ran.load(), kSpawns);
-    EXPECT_EQ(rt.stats().inline_spawns, 0u);
-  }
+    EXPECT_EQ(ran.load(), spawns);  // inlined spawns must not be lost
+    return rt.stats().inline_spawns;
+  };
+  constexpr int kWatermark = static_cast<int>(Runtime::kSpawnInlineWatermark);
+  // Above the watermark: every spawn past depth kWatermark + 1 runs inline.
+  EXPECT_EQ(fan_out(2 * kWatermark),
+            static_cast<std::uint64_t>(kWatermark - 1));
+  // Regression guard: a fan-out that never exceeds the watermark leaves
+  // every spawn on the deque (the throttle cannot fire spuriously).
+  EXPECT_EQ(fan_out(kWatermark), 0u);
 }
 
 TEST(Nested, CurrentTaskIdVisibleInsideBody) {

@@ -1,22 +1,34 @@
 // Tests for the §6 future-work extension: NTC (unreliable) cores.
 //
 // Invariants: accurate tasks never execute on an unreliable worker;
-// approximate tasks may; injected faults turn approximate tasks into drops
-// (dependents still release); the energy model charges NTC busy time a
-// fraction of the dynamic power.
+// approximate tasks may; an armed TaskCorrupt fault site turns approximate
+// tasks on NTC workers into drops (dependents still release); the energy
+// model charges NTC busy time a fraction of the dynamic power.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "chaos_test_util.hpp"
 #include "core/sigrt.hpp"
+#include "fault/fault.hpp"
 
 namespace {
 
 using sigrt::PolicyKind;
 using sigrt::Runtime;
 using sigrt::RuntimeConfig;
+using sigrt::test::ArmedPlan;
+using sigrt::test::chaos_seed;
+
+/// The §6 NTC silent-failure model: the TaskCorrupt site at `rate`.
+sigrt::fault::FaultPlan ntc_faults(double rate, std::uint64_t seed = 0x5eed) {
+  sigrt::fault::FaultPlan plan;
+  plan.seed = chaos_seed(seed);
+  plan.with(sigrt::fault::Site::TaskCorrupt, rate);
+  return plan;
+}
 
 RuntimeConfig ntc_config(unsigned workers, unsigned unreliable,
                          PolicyKind p = PolicyKind::GTBMaxBuffer) {
@@ -68,9 +80,9 @@ TEST(Unreliable, UnreliableCountClampsToKeepOneReliableWorker) {
 }
 
 TEST(Unreliable, InlineModeIsReliable) {
-  RuntimeConfig c = ntc_config(0, 4);
-  c.unreliable_fault_rate = 1.0;  // would drop every approximate task
-  Runtime rt(c);
+  SKIP_WITHOUT_INJECTION();
+  ArmedPlan armed(ntc_faults(1.0));  // would drop every approximate task
+  Runtime rt(ntc_config(0, 4));
   const auto g = rt.create_group("g", 0.0);
   int approx_runs = 0;
   rt.spawn(sigrt::task([] {}).approx([&] { ++approx_runs; }).significance(0.5).group(g));
@@ -97,9 +109,10 @@ TEST(Unreliable, FaultInjectionDropsApproximateTasks) {
   // every execution must then fault and drop.  GTB with a window of one
   // classifies and releases each task at spawn (LQH would not do: its tasks
   // stay Undecided at issue and are therefore never routed to NTC workers).
+  SKIP_WITHOUT_INJECTION();
+  ArmedPlan armed(ntc_faults(1.0));  // every NTC approximate execution fails
   RuntimeConfig c = ntc_config(2, 1, PolicyKind::GTB);
   c.gtb_buffer = 1;
-  c.unreliable_fault_rate = 1.0;  // every NTC approximate execution fails
   Runtime rt(c);
 
   std::atomic<bool> blocker_started{false};
@@ -127,16 +140,20 @@ TEST(Unreliable, FaultInjectionDropsApproximateTasks) {
 
   const auto s = rt.stats();
   const auto r = rt.group_report(g);
-  // Every approximate task executed on the NTC worker and faulted.
+  // Every approximate task executed on the NTC worker and faulted, each
+  // drop drawn from the TaskCorrupt site's stream.
   EXPECT_EQ(s.faults, 50u);
+  EXPECT_EQ(sigrt::fault::trace().fires[static_cast<unsigned>(
+                sigrt::fault::Site::TaskCorrupt)],
+            50u);
   EXPECT_EQ(r.dropped, 50u);
   EXPECT_EQ(approx_runs.load(), 0);
 }
 
 TEST(Unreliable, FaultedTasksStillReleaseDependents) {
-  RuntimeConfig c = ntc_config(2, 1);
-  c.unreliable_fault_rate = 1.0;
-  Runtime rt(c);
+  SKIP_WITHOUT_INJECTION();
+  ArmedPlan armed(ntc_faults(1.0));
+  Runtime rt(ntc_config(2, 1));
   const auto g = rt.create_group("g", 0.0);
   alignas(1024) static double cell[128];
   std::atomic<int> chain_done{0};
@@ -153,6 +170,7 @@ TEST(Unreliable, FaultedTasksStillReleaseDependents) {
 }
 
 TEST(Unreliable, ZeroFaultRateInjectsNothing) {
+  ArmedPlan armed(ntc_faults(0.0));
   Runtime rt(ntc_config(2, 1));
   const auto g = rt.create_group("g", 0.0);
   for (int i = 0; i < 100; ++i) {
@@ -163,10 +181,10 @@ TEST(Unreliable, ZeroFaultRateInjectsNothing) {
 }
 
 TEST(Unreliable, FaultStreamIsDeterministic) {
+  SKIP_WITHOUT_INJECTION();
   auto run_once = [] {
+    ArmedPlan armed(ntc_faults(0.5, /*seed=*/1234));
     RuntimeConfig c = ntc_config(2, 1);
-    c.unreliable_fault_rate = 0.5;
-    c.seed = 1234;
     c.steal = false;  // keep task->worker placement deterministic
     Runtime rt(c);
     const auto g = rt.create_group("g", 0.0);
@@ -174,7 +192,10 @@ TEST(Unreliable, FaultStreamIsDeterministic) {
       rt.spawn(sigrt::task([] {}).approx([] {}).significance(0.5).group(g));
     }
     rt.wait_group(g);
-    return rt.stats().faults;
+    // Same plan seed, same task ids: the same tasks drop.
+    EXPECT_GT(rt.stats().faults, 0u) << "plan never fired: vacuous test";
+    EXPECT_EQ(rt.stats().faults, sigrt::fault::trace().total());
+    return sigrt::fault::trace().hash;
   };
   EXPECT_EQ(run_once(), run_once());
 }
