@@ -1,7 +1,5 @@
 #include "core/group.hpp"
 
-#include "core/parker.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <functional>
@@ -54,47 +52,8 @@ void TaskGroup::on_complete(ExecutionKind kind, float significance,
   }
 
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task: wake barrier waiters.  Lock/unlock pairs with wait() to
-    // close the check-then-sleep window — and with add_intask_waiter(),
-    // whose registration under the same mutex either lands before this
-    // broadcast (and is woken here) or after (and re-checks pending==0
-    // before parking).  Waiters are notified in place, not removed: each
-    // self-removes on its own way out, and a duplicate notify is only a
-    // spurious wake.
-    support::MutexLock lock(wait_mutex_);
-    wait_cv_.notify_all();
-    for (BarrierWaiter* w : intask_waiters_) w->notify();
+    waiters_.notify_all();  // last task: wake the group's barrier waiters
   }
-}
-
-void TaskGroup::add_intask_waiter(BarrierWaiter* w) {
-  support::MutexLock lock(wait_mutex_);
-  intask_waiters_.push_back(w);
-}
-
-void TaskGroup::remove_intask_waiter(BarrierWaiter* w) {
-  support::MutexLock lock(wait_mutex_);
-  for (std::size_t i = 0; i < intask_waiters_.size(); ++i) {
-    if (intask_waiters_[i] == w) {
-      intask_waiters_[i] = intask_waiters_.back();
-      intask_waiters_.pop_back();
-      return;
-    }
-  }
-}
-
-void TaskGroup::wait() const {
-  support::MutexLock lock(wait_mutex_);
-  wait_cv_.wait(lock.native(), [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-bool TaskGroup::wait_for(std::chrono::milliseconds timeout) const {
-  support::MutexLock lock(wait_mutex_);
-  return wait_cv_.wait_for(lock.native(), timeout, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
 }
 
 GroupReport TaskGroup::report() const {

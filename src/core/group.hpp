@@ -7,18 +7,15 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/parker.hpp"
 #include "core/types.hpp"
 #include "support/mutex.hpp"
 
 namespace sigrt {
-
-struct BarrierWaiter;  // core/parker.hpp
 
 /// One (significance, outcome) observation; the per-group log of these
 /// drives the Table 2 metrics.
@@ -125,28 +122,13 @@ class TaskGroup {
   /// Sentinel worker_slot for callers with no worker identity.
   static constexpr unsigned kNoWorkerSlot = ~0u;
 
-  /// Blocks until every spawned task has completed.
-  void wait() const;
-
-  /// Bounded wait: blocks until the group quiesced or `timeout` elapsed;
-  /// returns true when pending reached zero.  Runtime barriers use this to
-  /// interleave waiting with policy re-flushes — a task body may spawn
-  /// into a buffering policy's window DURING the barrier, and the window
-  /// would otherwise never flush.
-  [[nodiscard]] bool wait_for(std::chrono::milliseconds timeout) const;
-
   [[nodiscard]] std::uint64_t pending() const noexcept {
     return pending_.load(std::memory_order_acquire);
   }
 
-  /// Event-driven in-task barrier support: registers/removes a parked
-  /// waiter handle to be notified when the group quiesces (pending reaches
-  /// zero).  Registration shares wait_mutex_ with the quiescence broadcast,
-  /// so a register that races the last completion either sees pending==0 on
-  /// its own re-check or is woken by the broadcast.  Waiters self-remove;
-  /// the vector keeps its capacity, so the steady state allocates nothing.
-  void add_intask_waiter(BarrierWaiter* w);
-  void remove_intask_waiter(BarrierWaiter* w);
+  /// Barrier waiters (wait_group, from any thread) parked on this group;
+  /// the completion that drives pending to zero notifies them.
+  [[nodiscard]] WaiterList& waiters() noexcept { return waiters_; }
 
   /// Accounting snapshot (includes the inversion scan over the task log).
   [[nodiscard]] GroupReport report() const;
@@ -169,12 +151,7 @@ class TaskGroup {
   std::atomic<std::uint64_t> redone_{0};
   std::atomic<std::uint64_t> corrupted_detected_{0};
 
-  mutable support::Mutex wait_mutex_;
-  mutable std::condition_variable wait_cv_;
-
-  /// Parked in-task waiters.  Cold path: only waiters that exhausted all
-  /// acquirable work land here.
-  std::vector<BarrierWaiter*> intask_waiters_ SIGRT_GUARDED_BY(wait_mutex_);
+  WaiterList waiters_;
 
   // Task-record log, sharded by executing worker so the per-completion
   // append never crosses a contended lock: worker w appends to shard

@@ -1,17 +1,19 @@
 // Per-thread two-phase parker and the barrier-waiter handle that wires a
-// task's last-child completion (or a group's quiescence) to whatever the
-// waiting thread is currently sleeping on.
+// task's last-child completion, a group's or the runtime's quiescence, or a
+// wait_on fence to whatever the waiting thread is currently sleeping on.
 //
-// Why this exists: an in-task taskwait is a *helping* barrier — the waiter
-// keeps executing other tasks — but when nothing is acquirable the awaited
-// children are in flight on other threads, and the waiter should sleep
-// until they finish rather than poll.  Completions notify it directly:
+// Why this exists: every taskwait — from a task body or from any other
+// thread — runs through one loop (Runtime::help_until).  A waiter inside a
+// task body helps, executing other tasks; when nothing is acquirable (or
+// the waiter owns no worker slot and may not help) the awaited work is in
+// flight on other threads, and the waiter should sleep until it finishes
+// rather than poll.  Completions notify it directly:
 //
-//   waiter                                 completer (last child)
-//   ------                                 ---------
-//   1. register waiter on task/group       1. children.fetch_sub == 1
-//      + seq_cst fence                        + seq_cst fence
-//   2. re-check barrier + queues           2. load waiter pointer
+//   waiter                                 completer (last child, last
+//   ------                                 ---------  group member, fence)
+//   1. register waiter on task/list        1. counter.fetch_sub == 1 (or
+//      + seq_cst fence                        flag store) + seq_cst fence
+//   2. re-check barrier + queues           2. load waiter pointer(s)
 //   3a. open/work -> don't park            3. waiter->notify()
 //   3b. closed    -> park
 //
@@ -21,10 +23,11 @@
 //
 // A waiter may be parked in one of two ways — on its *scheduler eventcount
 // slot* (a slot-owning worker: producer wakes keep reaching it, so new work
-// still gets helped) or on the Parker below (a thread that handed its slot
-// to a spare and is blocked for real).  notify() covers both targets; a
-// notification aimed at a stale target only wakes somebody spuriously, and
-// every park in this codebase re-checks its condition on wake.
+// still gets helped) or on the Parker below (a thread that owns no slot: a
+// plain thread, or a worker that handed its slot to a spare and is blocked
+// for real).  notify() covers both targets; a notification aimed at a stale
+// target only wakes somebody spuriously, and every park in this codebase
+// re-checks its condition on wake.
 //
 // Lifetime: BarrierWaiter handles are leased per thread from an immortal
 // freelist (this_thread_waiter()).  A completer that loaded the pointer
@@ -37,6 +40,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <vector>
 
 #include "support/mutex.hpp"
 
@@ -44,8 +48,8 @@ namespace sigrt {
 
 /// One-thread two-phase park/unpark: the single-slot analogue of
 /// EventCount (see eventcount.hpp for the protocol discussion).  Used by
-/// blocked (slot-less) barrier waiters, where no producer needs to find
-/// the sleeper — only the barrier's completion side does.
+/// slot-less barrier waiters, where no producer needs to find the sleeper
+/// — only the barrier's completion side does.
 class Parker {
  public:
   /// Phase 1 (owner thread): announce intent to sleep.  Follow with a
@@ -73,13 +77,15 @@ class Parker {
 
   /// Timed phase 2: wakes on notification or after `timeout` (whichever is
   /// first) — barrier waiters under a buffering policy must surface
-  /// periodically to re-flush the policy window.
-  void park_for(std::chrono::microseconds timeout) {
+  /// periodically to re-flush the policy window.  Returns true when an
+  /// unpark() woke it.
+  bool park_for(std::chrono::microseconds timeout) {
     support::MutexLock lock(mutex_);
-    cv_.wait_for(lock.native(), timeout, [this] {
+    const bool notified = cv_.wait_for(lock.native(), timeout, [this] {
       return state_.load(std::memory_order_acquire) != kParked;
     });
     state_.store(kIdle, std::memory_order_release);
+    return notified;
   }
 
   /// Any thread: wake the owner iff it is parked (or mid-park).  No token
@@ -104,9 +110,9 @@ class Parker {
 };
 
 /// The wake-target handle a barrier waiter registers on a Task (children
-/// scope) or TaskGroup (quiescence scope).  notify() is safe from any
-/// thread at any time: it touches only this handle, which the freelist
-/// keeps alive for the program's lifetime.
+/// scope) or a WaiterList (quiescence scope), or hands to its wait_on
+/// fence.  notify() is safe from any thread at any time: it touches only
+/// this handle, which the freelist keeps alive for the program's lifetime.
 struct BarrierWaiter {
   Parker parker;
 
@@ -133,6 +139,46 @@ struct BarrierWaiter {
     }
     parker.unpark();
   }
+};
+
+/// The parked waiters of one quiescence barrier: a group's pending == 0
+/// (wait_group) or the runtime's (top-level wait_all).  Waiters add
+/// themselves before their re-check and remove themselves on the way out;
+/// the completion that drives the count to zero calls notify_all().
+/// Cold path: only waiters with nothing left to help land here, and the
+/// vector keeps its capacity, so the steady state allocates nothing.
+class WaiterList {
+ public:
+  void add(BarrierWaiter* w) {
+    support::MutexLock lock(mutex_);
+    waiters_.push_back(w);
+  }
+
+  void remove(BarrierWaiter* w) {
+    support::MutexLock lock(mutex_);
+    for (BarrierWaiter*& slot : waiters_) {
+      if (slot == w) {
+        slot = waiters_.back();
+        waiters_.pop_back();
+        return;
+      }
+    }
+  }
+
+  /// Completer side, right after the decrement that reached zero.  The
+  /// fence is the completer's half of the Dekker pairing above: either a
+  /// waiter's post-registration re-check sees the zero, or this scan sees
+  /// the registration.  Waiters are notified in place, not removed — a
+  /// duplicate notify is only a spurious wake.
+  void notify_all() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    support::MutexLock lock(mutex_);
+    for (BarrierWaiter* w : waiters_) w->notify();
+  }
+
+ private:
+  support::Mutex mutex_;
+  std::vector<BarrierWaiter*> waiters_ SIGRT_GUARDED_BY(mutex_);
 };
 
 namespace detail {

@@ -6,20 +6,6 @@
 
 namespace sigrt {
 
-namespace {
-
-/// The "ideal case" of §3.2: full a-priori knowledge of every task in a
-/// group.  Operationally identical to GTB with an unbounded buffer — the
-/// distinct name keeps experiment tables and tests readable, and the GTB ==
-/// Oracle equivalence is itself a tested invariant.
-class OraclePolicy final : public GtbPolicy {
- public:
-  OraclePolicy() : GtbPolicy(SIZE_MAX, /*max_buffer=*/true) {}
-  [[nodiscard]] const char* name() const noexcept override { return "oracle"; }
-};
-
-}  // namespace
-
 std::unique_ptr<Policy> make_policy(const RuntimeConfig& config) {
   switch (config.policy) {
     case PolicyKind::Agnostic:
@@ -31,8 +17,6 @@ std::unique_ptr<Policy> make_policy(const RuntimeConfig& config) {
     case PolicyKind::LQH:
       return std::make_unique<LqhPolicy>(config.lqh_levels,
                                          std::max(1u, config.workers));
-    case PolicyKind::Oracle:
-      return std::make_unique<OraclePolicy>();
   }
   return std::make_unique<AgnosticPolicy>();
 }

@@ -3,8 +3,9 @@
 // Spawned tasks are buffered per group instead of issued.  When a buffer
 // fills, or a barrier flushes it, the buffered window is sorted by
 // significance and the top ratio()·window tasks are classified accurate,
-// the rest approximate.  With an unbounded buffer (GTBMaxBuffer / Oracle)
-// the classification is exact: it equals the offline-optimal assignment.
+// the rest approximate.  With an unbounded buffer (GTBMaxBuffer, the §3.2
+// oracle) the classification is exact: it equals the offline-optimal
+// assignment.
 //
 // Thread safety (the any-thread spawn contract): the per-group windows are
 // guarded by one mutex, held only while mutating the buffers — a window

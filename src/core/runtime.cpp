@@ -588,18 +588,18 @@ void Runtime::execute_task(Task& task, unsigned worker) {
 
 void Runtime::on_task_finished() {
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    support::MutexLock lock(wait_mutex_);
-    wait_cv_.notify_all();
+    waiters_.notify_all();
   }
 }
 
 template <typename Done>
-void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
+void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
   // Helping barrier: a worker inside a task body must never block its OS
   // thread on a barrier — every worker doing so (recursive fan-out does
   // exactly this) would deadlock the pool.  Instead the waiter keeps
   // executing tasks: its own deque first (where its children just landed),
-  // then inbox/steals.
+  // then inbox/steals.  A thread that owns no worker slot (any caller
+  // outside a task body) skips the helping and only flushes and parks.
   //
   // Each nested barrier frame deepens the C++ stack by whatever the helped
   // bodies use, so helping depth is capped (kHelpingDepth): a waiter past
@@ -616,9 +616,9 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
   // Inline mode has no other thread that could complete the awaited work:
   // helping and flushing are the only ways forward, so it never parks.
   const bool may_park = !scheduler_->inline_mode();
-  // Blocked mode: this thread no longer owns a worker slot (an enclosing
-  // barrier or BlockingSection already detached it) — it must not execute
-  // further task bodies on this stack, only park on its Parker.
+  // Blocked mode: this thread owns no worker slot (a plain thread, or a
+  // worker an enclosing barrier or BlockingSection already detached) — it
+  // must not execute task bodies on this stack, only park on its Parker.
   bool blocked_mode = may_park && !scheduler_->owns_current_slot();
 
   BarrierWaiter* waiter = nullptr;  // registered lazily, on first park
@@ -651,8 +651,8 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
       waiter = this_thread_waiter();
       if (wtask != nullptr) {
         wtask->waiter.store(waiter, std::memory_order_release);
-      } else if (wgroup != nullptr) {  // always true here; placates -Wnonnull
-        wgroup->add_intask_waiter(waiter);
+      } else if (wlist != nullptr) {
+        wlist->add(waiter);
       }
     }
     if (blocked_mode) {
@@ -689,8 +689,8 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
   if (waiter != nullptr) {
     if (wtask != nullptr) {
       wtask->waiter.store(nullptr, std::memory_order_release);
-    } else if (wgroup != nullptr) {
-      wgroup->remove_intask_waiter(waiter);
+    } else if (wlist != nullptr) {
+      wlist->remove(waiter);
     }
     waiter->sched.store(nullptr, std::memory_order_release);
   }
@@ -707,35 +707,12 @@ void Runtime::wait_all() {
         [self] {
           return self->children.load(std::memory_order_acquire) == 0;
         },
-        /*wtask=*/self, /*wgroup=*/nullptr);
-    rethrow_pending_error();
-    return;
+        /*wtask=*/self, /*wlist=*/nullptr);
+  } else {
+    help_until([this] { return pending_.load(std::memory_order_acquire) == 0; },
+               /*wtask=*/nullptr, /*wlist=*/&waiters_);
   }
-  blocking_wait([this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
   rethrow_pending_error();
-}
-
-template <typename Done>
-void Runtime::blocking_wait(Done done) {
-  support::MutexLock lock(wait_mutex_);
-  if (pass_through_) {
-    // Nothing ever sits in a pass-through policy: a pure sleep, woken by
-    // the barrier condition's crossing.  (A timed poll here measurably
-    // preempts the workers on single-CPU boxes — keep it wake-driven.)
-    wait_cv_.wait(lock.native(), done);
-    return;
-  }
-  // Buffering policy: task bodies may spawn into a window DURING this
-  // barrier (nested spawn with no in-task taskwait), and the barrier's
-  // entry flush cannot have seen those — re-flush on every timeout so the
-  // barrier stays live.  The condition's wake still arrives immediately.
-  while (!wait_cv_.wait_for(lock.native(), std::chrono::milliseconds(1), done)) {
-    lock.unlock();
-    policy_->flush(kAllGroups, *this);
-    lock.lock();
-  }
 }
 
 void Runtime::wait_group(GroupId group) {
@@ -744,47 +721,29 @@ void Runtime::wait_group(GroupId group) {
   // deadlock the barrier.
   policy_->flush(kAllGroups, *this);
   TaskGroup& g = group_ref(group);
-  if (tls_task_frame.runtime == this && tls_task_frame.task != nullptr) {
-    // In-task group barrier: help until the group quiesces.  First, fail
-    // fast on the self-deadlock shapes (the ROADMAP carry-over): a member
-    // of `group` waiting on its own group stays pending until after its
-    // body returns, so the barrier it spins on can never open once a
-    // second member does the same — and the hazard arises transitively
-    // when a helping barrier has SUSPENDED another task of `group` beneath
-    // this one on the worker's stack (an in-task wait_all picked it up;
-    // it cannot complete while we spin above it).  The frame chain
-    // enumerates exactly the tasks this thread has suspended, so any
-    // `group` member on it means the wait can hang — throw instead of
-    // deadlocking.  Prefer in-task wait_all (children scope, immune by
-    // construction) or wait on groups whose tasks do not themselves
-    // barrier.
-    for (const ThreadTaskFrame* f = &tls_task_frame; f != nullptr;
-         f = f->prev) {
-      if (f->runtime == this && f->task != nullptr &&
-          f->task->group == group) {
-        throw std::logic_error(
-            "sigrt: wait_group(" + group_ref(group).name() +
-            ") from inside a task of that group would deadlock: the "
-            "waiting/suspended task stays pending until its body returns, "
-            "so the group can never quiesce under it; wait_all() scopes to "
-            "children and is safe here");
-      }
-    }
-    help_until([&g] { return g.pending() == 0; }, /*wtask=*/nullptr,
-               /*wgroup=*/&g);
-    rethrow_pending_error();
-    return;
-  }
-  // Same split as wait_all: wake-driven under pass-through policies, a
-  // timed re-flush loop under buffering ones (a body may spawn group
-  // members into a window during the barrier).
-  if (pass_through_) {
-    g.wait();
-  } else {
-    while (!g.wait_for(std::chrono::milliseconds(1))) {
-      policy_->flush(kAllGroups, *this);
+  // Fail fast on the in-task self-deadlock shapes: a member of `group`
+  // waiting on its own group stays pending until after its body returns,
+  // so the barrier it spins on can never open once a second member does
+  // the same — and the hazard arises transitively when a helping barrier
+  // has SUSPENDED another task of `group` beneath this one on the worker's
+  // stack (an in-task wait_all picked it up; it cannot complete while we
+  // spin above it).  The frame chain enumerates exactly the tasks this
+  // thread has suspended (none on a plain thread), so any `group` member
+  // on it means the wait can hang — throw instead of deadlocking.  Prefer
+  // in-task wait_all (children scope, immune by construction) or wait on
+  // groups whose tasks do not themselves barrier.
+  for (const ThreadTaskFrame* f = &tls_task_frame; f != nullptr; f = f->prev) {
+    if (f->runtime == this && f->task != nullptr && f->task->group == group) {
+      throw std::logic_error(
+          "sigrt: wait_group(" + g.name() +
+          ") from inside a task of that group would deadlock: the "
+          "waiting/suspended task stays pending until its body returns, "
+          "so the group can never quiesce under it; wait_all() scopes to "
+          "children and is safe here");
     }
   }
+  help_until([&g] { return g.pending() == 0; }, /*wtask=*/nullptr,
+             /*wlist=*/&g.waiters());
   rethrow_pending_error();
 }
 
@@ -792,44 +751,29 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
   policy_->flush(kAllGroups, *this);
 
   // A fence task with an in() clause on the range depends on exactly the
-  // pending writers of that range; its body raises `done`.  The flag lives
-  // on this stack frame: both exits below strictly outlive that store, and
-  // the body touches nothing on this frame after it.
+  // pending writers of that range; its body raises `done`, then wakes this
+  // thread's own waiter handle (fence before the notify, parker.hpp).  The
+  // flag lives on this stack frame, which may unwind as soon as the store
+  // lands — so the body touches nothing of this frame after it, only the
+  // immortal handle.  In-task, the waiter is also registered on the
+  // calling task, which the fence pins as its parent.  help_until's
+  // re-flush covers a writer of this range that a concurrent spawner
+  // parked in a policy window after the entry flush above.
   std::atomic<bool> done{false};
+  BarrierWaiter* const waiter = this_thread_waiter();
   Task* self = tls_task_frame.runtime == this ? tls_task_frame.task : nullptr;
   TaskOptions fence;
-  fence.accurate = [this, &done, self] {
+  fence.accurate = [&done, waiter] {
     done.store(true, std::memory_order_release);
-    if (self != nullptr) {
-      // In-task waiter: the fence is a child of `self` (which it pins), so
-      // the waiter is registered on `self` — wake it exactly as the
-      // last-child decrement does, fence before the load (parker.hpp).
-      // Other children may still be pending, so that decrement alone
-      // would not.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (BarrierWaiter* w = self->waiter.load(std::memory_order_acquire)) {
-        w->notify();
-      }
-      return;
-    }
-    // Blocking waiters sleep on wait_cv_; the lock/notify pair closes
-    // their check-then-sleep window.
-    support::MutexLock lock(wait_mutex_);
-    wait_cv_.notify_all();
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    waiter->notify();
   };
   fence.significance = 1.0;
   fence.group = kDefaultGroup;
   fence.accesses.push_back({ptr, bytes, dep::Mode::In});
   spawn_impl(std::move(fence), /*internal=*/true);
-  if (self != nullptr) {
-    help_until([&done] { return done.load(std::memory_order_acquire); },
-               /*wtask=*/self, /*wgroup=*/nullptr);
-  } else {
-    // blocking_wait's re-flush also covers the fence: a concurrent
-    // spawner may have registered a writer of this range in the tracker
-    // and then parked it in a window AFTER our entry flush.
-    blocking_wait([&done] { return done.load(std::memory_order_acquire); });
-  }
+  help_until([&done] { return done.load(std::memory_order_acquire); },
+             /*wtask=*/self, /*wlist=*/nullptr);
   rethrow_pending_error();
 }
 

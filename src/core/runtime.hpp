@@ -24,18 +24,23 @@
 //   * Worker-side spawns push straight into the calling worker's own
 //     Chase-Lev deque (no inbox hop); task ids are minted from one atomic
 //     counter, unique across any number of concurrent spawners.
-//   * A taskwait issued from inside a task body never blocks the worker's
-//     OS thread: it enters a helping loop that drains/steals and executes
-//     tasks until the barrier opens.  In-task wait_all() barriers on the
-//     calling task's CHILDREN (OpenMP `#pragma omp taskwait` semantics) —
-//     a global pending==0 barrier would count the waiting task itself and
-//     deadlock sibling waiters.  Top-level wait_all() keeps the global
-//     everything-spawned-so-far barrier.  In-task wait_group(g) helps
-//     until g quiesces; calling it from inside a task of g itself — or
-//     while a task of g sits suspended beneath the caller on the worker's
-//     helping stack — can never open (the waiter stays pending in g until
-//     its body returns) and throws std::logic_error instead of
-//     deadlocking.  Use in-task wait_all() (children scope) there.
+//   * Every taskwait runs through one loop (help_until).  Issued from
+//     inside a task body it never blocks the worker's OS thread: it drains,
+//     steals and executes tasks until the barrier opens, and parks on the
+//     worker's eventcount slot only when nothing is acquirable.  Issued
+//     from any other thread it does not help: it re-flushes a buffering
+//     policy and parks on the thread's pooled waiter handle until the
+//     barrier's completion side wakes it.  In-task wait_all() barriers on
+//     the calling task's CHILDREN (OpenMP `#pragma omp taskwait`
+//     semantics) — a global pending==0 barrier would count the waiting
+//     task itself and deadlock sibling waiters.  Top-level wait_all()
+//     keeps the global everything-spawned-so-far barrier.  In-task
+//     wait_group(g) helps until g quiesces; calling it from inside a task
+//     of g itself — or while a task of g sits suspended beneath the caller
+//     on the worker's helping stack — can never open (the waiter stays
+//     pending in g until its body returns) and throws std::logic_error
+//     instead of deadlocking.  Use in-task wait_all() (children scope)
+//     there.
 //   * create_group/ensure_group/set_ratio are safe from any thread (the
 //     group table is lock-free and the ratio is a relaxed atomic — see the
 //     table in docs/architecture.md); stats and activity are readable from
@@ -49,7 +54,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -224,25 +228,19 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   void execute_task(Task& task, unsigned worker);
   void classify_at_dequeue(Task& task, unsigned worker);
   void spawn_impl(TaskOptions&& options, bool internal);
-  /// Helping barrier core: runs/steals tasks on the calling thread until
-  /// `done()` holds.  A waiter that finds nothing acquirable registers a
-  /// BarrierWaiter on `wtask` (children scope) or else on `wgroup`
-  /// (quiescence scope) and parks — on its eventcount slot while it owns
-  /// one, on its Parker once it has handed the slot to a spare (helping
-  /// depth past kHelpingDepth, or an enclosing begin_blocking()).  The
-  /// completion side of the scope notifies it.  Inline mode helps and
-  /// flushes but never parks.  Only entered from inside a task body of
-  /// this runtime.
+  /// The one barrier loop behind every wait_*, from a task body or from
+  /// any other thread: runs/steals tasks on the calling thread until
+  /// `done()` holds.  A waiter that finds nothing acquirable registers its
+  /// BarrierWaiter on `wtask` (children scope) or else on `wlist`
+  /// (quiescence scope; wait_on passes neither — its fence notifies the
+  /// handle directly) and parks: on its eventcount slot while it owns one,
+  /// on its Parker otherwise.  A thread without a slot — a plain thread,
+  /// or a worker past kHelpingDepth or inside begin_blocking() — never
+  /// helps, only re-flushes and parks.  Under buffering policies parks are
+  /// timed so the policy window is re-flushed.  Inline mode helps and
+  /// flushes but never parks.
   template <typename Done>
-  void help_until(Done done, Task* wtask, TaskGroup* wgroup);
-  /// Blocking barrier core (non-task threads), on wait_mutex_/wait_cv_:
-  /// a pure wake-driven sleep under pass-through policies, a 1 ms timed
-  /// loop re-flushing the policy under buffering ones — a task body may
-  /// spawn into a window DURING the barrier, invisible to the entry
-  /// flush.  Shared by wait_all and wait_on (wait_group sleeps on the
-  /// group's own condvar).
-  template <typename Done>
-  void blocking_wait(Done done);
+  void help_until(Done done, Task* wtask, WaiterList* wlist);
   void on_task_finished();
   void rethrow_pending_error();
   void publish_group(GroupId id, TaskGroup* group) noexcept;
@@ -267,8 +265,9 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   std::unique_ptr<std::atomic<TaskGroup*>[]> group_table_;
 
   std::atomic<std::uint64_t> pending_{0};
-  mutable support::Mutex wait_mutex_;
-  mutable std::condition_variable wait_cv_;
+  /// Top-level wait_all waiters; on_task_finished notifies them when
+  /// pending_ reaches zero.
+  WaiterList waiters_;
 
   std::atomic<TaskId> next_task_id_{1};
   std::atomic<std::uint64_t> faults_{0};

@@ -87,16 +87,16 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
 
   /// Event-driven taskwait: the (single) thread blocked in this task's
   /// in-task wait_all() or wait_on() parks behind this handle.  The
-  /// completing side of the last child — or the body of a wait_on fence,
-  /// itself a child — reads it after a seq_cst fence (Dekker pairing with
-  /// the waiter's register-then-recheck) and calls notify().  Handles
+  /// completing side of the last child reads it after a seq_cst fence
+  /// (Dekker pairing with the waiter's register-then-recheck) and calls
+  /// notify(); a wait_on fence notifies the waiter's handle directly.  Handles
   /// are pooled immortally (core/parker.hpp), so a stale notify racing a
   /// waiter's retirement touches live memory and is at worst a spurious
   /// wake.
   std::atomic<BarrierWaiter*> waiter{nullptr};
 
   /// Classification result.  Written exactly once before the task becomes
-  /// runnable (GTB/Oracle) or at dequeue time on the executing worker (LQH),
+  /// runnable (GTB) or at dequeue time on the executing worker (LQH),
   /// then read only by that worker — no concurrent access in either case.
   ExecutionKind kind = ExecutionKind::Undecided;
 

@@ -38,9 +38,9 @@ enum class ExecutionKind : std::uint8_t {
 enum class PolicyKind : std::uint8_t {
   Agnostic,      ///< significance-agnostic baseline: everything accurate
   GTB,           ///< Global Task Buffering with a bounded buffer (§3.3)
-  GTBMaxBuffer,  ///< GTB buffering until the synchronization barrier
+  GTBMaxBuffer,  ///< GTB buffering until the synchronization barrier: the
+                 ///< §3.2 oracle (full a-priori knowledge of the group)
   LQH,           ///< Local Queue History (§3.4)
-  Oracle,        ///< full a-priori knowledge (== GTBMaxBuffer; §3.2)
 };
 
 [[nodiscard]] constexpr const char* to_string(PolicyKind p) noexcept {
@@ -49,7 +49,6 @@ enum class PolicyKind : std::uint8_t {
     case PolicyKind::GTB: return "GTB";
     case PolicyKind::GTBMaxBuffer: return "GTB(MaxBuffer)";
     case PolicyKind::LQH: return "LQH";
-    case PolicyKind::Oracle: return "oracle";
   }
   return "?";
 }
@@ -63,7 +62,7 @@ struct RuntimeConfig {
   PolicyKind policy = PolicyKind::GTB;
 
   /// GTB buffer capacity per task group.  Ignored by other policies;
-  /// GTBMaxBuffer/Oracle override it with an unbounded buffer.
+  /// GTBMaxBuffer overrides it with an unbounded buffer.
   std::size_t gtb_buffer = 32;
 
   /// Number of discrete significance levels tracked by LQH.  The paper uses

@@ -31,6 +31,9 @@ constexpr std::uint64_t kListenTag = 2;
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 
+// listen(2) backlog of each poller's listener.
+constexpr int kListenBacklog = 128;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -41,11 +44,9 @@ constexpr std::size_t kReadChunk = 16 * 1024;
 /// are owned by the connection's poller thread; producers (workers,
 /// dispatchers) touch only the atomics: outq / out_armed / closed / refs.
 struct NetServer::Conn {
-  explicit Conn(std::uint32_t max_frame) : reader(max_frame) {}
-
   int fd = -1;
   Poller* poller = nullptr;
-  FrameReader reader;
+  FrameReader reader;  ///< caps frames at kMaxFrameBytes
 
   /// Outbound MPSC (Treiber through NetRequest::next): any thread pushes a
   /// finished response; the poller consumes.  seq_cst on push/exchange and
@@ -170,7 +171,7 @@ void NetServer::start() {
                  sizeof addr) != 0) {
         throw_errno("bind");
       }
-      if (::listen(p->listen_fd, options_.listen_backlog) != 0) {
+      if (::listen(p->listen_fd, kListenBacklog) != 0) {
         throw_errno("listen");
       }
       if (i == 0) {
@@ -483,7 +484,7 @@ void NetServer::handle_accept(Poller& p) {
     if (fd < 0) return;  // EAGAIN, or transient (EMFILE/ECONNABORTED): drop
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto* c = new Conn(options_.max_frame_bytes);
+    auto* c = new Conn;
     c->fd = fd;
     c->poller = &p;
     c->serial = conn_serial_.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -68,11 +68,6 @@ struct NetServerOptions {
   /// 0 = auto: one per last-level-cache group (single-LLC boxes get 1).
   unsigned pollers = 0;
 
-  int listen_backlog = 128;
-
-  /// Per-frame body cap; a length prefix beyond it closes the connection.
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
-
   /// Per-connection outbound queue cap in bytes.  A client that stops
   /// reading while responses keep completing would otherwise buffer
   /// unboundedly in the server; at the cap the connection is closed

@@ -84,10 +84,11 @@ ClassId Server::register_class(RequestClassConfig config) {
   if (id >= kMaxClasses) {
     throw std::length_error("serve::Server: too many request classes");
   }
-  const unsigned shards = options_.histogram_shards != 0
-                              ? options_.histogram_shards
-                              : runtime_->config().workers + 1;
-  auto state = std::make_unique<ClassState>(std::move(config), shards);
+  // One latency-histogram shard per recording thread — the workers, plus
+  // the dispatcher, which records completions in inline mode — so
+  // recording threads rarely contend on a shard.
+  auto state = std::make_unique<ClassState>(std::move(config),
+                                            runtime_->config().workers + 1);
   state->group = runtime_->create_group("serve/" + state->cfg.name,
                                         state->cfg.qos.initial_ratio);
   ClassState* ptr = state.get();
@@ -135,7 +136,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   TenantState& t = tenant_ref(tenant);
   Cell& cell = t.cells[cls];
   if (!accepting_.load(std::memory_order_acquire)) {
-    s.shed.fetch_add(1, std::memory_order_relaxed);
     cell.shed.fetch_add(1, std::memory_order_relaxed);
     return Admission::Shed;
   }
@@ -156,7 +156,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
       t.in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (t_depth > t.cfg.max_in_flight) {
     t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    s.shed.fetch_add(1, std::memory_order_relaxed);
     cell.shed.fetch_add(1, std::memory_order_relaxed);
     return Admission::Shed;
   }
@@ -165,7 +164,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
     switch (s.cfg.criticality) {
       case Criticality::BestEffort:
         t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        s.shed.fetch_add(1, std::memory_order_relaxed);
         cell.shed.fetch_add(1, std::memory_order_relaxed);
         return Admission::Shed;
       case Criticality::Degradable:
@@ -183,7 +181,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   if (depth > s.cfg.max_in_flight) {
     s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
     t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    s.shed.fetch_add(1, std::memory_order_relaxed);
     cell.shed.fetch_add(1, std::memory_order_relaxed);
     return Admission::Shed;
   }
@@ -212,12 +209,8 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   r->wd_prev = nullptr;
 
   cell.in_flight.fetch_add(1, std::memory_order_relaxed);
-  s.submitted.fetch_add(1, std::memory_order_relaxed);
   cell.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (degraded) {
-    s.degraded.fetch_add(1, std::memory_order_relaxed);
-    cell.degraded.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (degraded) cell.degraded.fetch_add(1, std::memory_order_relaxed);
   queue_.push(r);
   wake_dispatcher();
   return degraded ? Admission::Degraded : Admission::Admitted;
@@ -275,9 +268,8 @@ std::size_t Server::issue_edf(double* rotor, bool bounded) {
       // Checked at pop (EDF order means everything deeper is no older), so
       // an idle server pays nothing for it.
       if (s.cfg.shed_expired && r->deadline_ns < support::now_ns()) {
-        TenantState& t = tenant_ref(r->tenant);
-        s.expired.fetch_add(1, std::memory_order_relaxed);
-        t.cells[r->cls].expired.fetch_add(1, std::memory_order_relaxed);
+        tenant_ref(r->tenant).cells[r->cls].expired.fetch_add(
+            1, std::memory_order_relaxed);
         expire_admitted(r);
         ++issued;
         continue;
@@ -466,12 +458,10 @@ void Server::watchdog_sweep() {
       if (!r->resolved.exchange(true, std::memory_order_acq_rel)) {
         TenantState& t = tenant_ref(r->tenant);
         Cell& cell = t.cells[r->cls];
-        s.timed_out.fetch_add(1, std::memory_order_relaxed);
         cell.timed_out.fetch_add(1, std::memory_order_relaxed);
         // A timeout is served as a drop (conservation: every admitted
         // request lands in exactly one served_* bucket); no latency sample
         // — the stuck body's eventual finish time is not a service time.
-        s.served_dropped.fetch_add(1, std::memory_order_relaxed);
         cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
         const auto& cb = r->job.on_timeout ? r->job.on_timeout : r->job.on_drop;
         if (cb) {
@@ -502,9 +492,8 @@ void Server::dispatch(Request* r, double* rotor) {
   rotor[r->cls] += s.perforation.load(std::memory_order_relaxed);
   if (rotor[r->cls] >= 1.0) {
     rotor[r->cls] -= 1.0;
-    TenantState& t = tenant_ref(r->tenant);
-    s.perforated.fetch_add(1, std::memory_order_relaxed);
-    t.cells[r->cls].perforated.fetch_add(1, std::memory_order_relaxed);
+    tenant_ref(r->tenant).cells[r->cls].perforated.fetch_add(
+        1, std::memory_order_relaxed);
     drop_admitted(r);
     return;
   }
@@ -608,15 +597,12 @@ void Server::complete(Request* r, Outcome outcome) {
     s.latency.record(latency > 0 ? static_cast<std::uint64_t>(latency) : 0);
     switch (outcome) {
       case Outcome::Accurate:
-        s.served_accurate.fetch_add(1, std::memory_order_relaxed);
         cell.served_accurate.fetch_add(1, std::memory_order_relaxed);
         break;
       case Outcome::Approximate:
-        s.served_approximate.fetch_add(1, std::memory_order_relaxed);
         cell.served_approximate.fetch_add(1, std::memory_order_relaxed);
         break;
       case Outcome::Dropped:
-        s.served_dropped.fetch_add(1, std::memory_order_relaxed);
         cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
         break;
     }
@@ -754,10 +740,9 @@ void Server::close() {
     while (Request* head = queue_.pop_all_fifo()) {
       while (head != nullptr) {
         Request* next = head->next;
-        ClassState& s = class_ref(head->cls);
-        TenantState& t = tenant_ref(head->tenant);
-        s.shed.fetch_add(1, std::memory_order_relaxed);
-        t.cells[head->cls].shed.fetch_add(1, std::memory_order_relaxed);
+        tenant_ref(head->tenant)
+            .cells[head->cls]
+            .shed.fetch_add(1, std::memory_order_relaxed);
         drop_admitted(head);
         head = next;
       }
@@ -786,15 +771,22 @@ ClassReport Server::class_report(ClassId cls) const {
   r.deadline_ms = s.cfg.qos.deadline_ns * 1e-6;
   r.ratio = runtime_->group(s.group).ratio();
   r.perforation = s.perforation.load(std::memory_order_relaxed);
-  r.submitted = s.submitted.load(std::memory_order_relaxed);
-  r.shed = s.shed.load(std::memory_order_relaxed);
-  r.degraded = s.degraded.load(std::memory_order_relaxed);
-  r.perforated = s.perforated.load(std::memory_order_relaxed);
-  r.served_accurate = s.served_accurate.load(std::memory_order_relaxed);
-  r.served_approximate = s.served_approximate.load(std::memory_order_relaxed);
-  r.served_dropped = s.served_dropped.load(std::memory_order_relaxed);
-  r.expired = s.expired.load(std::memory_order_relaxed);
-  r.timed_out = s.timed_out.load(std::memory_order_relaxed);
+  // The outcome counters are kept once, per (tenant, class) cell; the
+  // class totals are the sum over the registered tenants' cells.
+  const std::uint32_t tn = tenant_count_.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < tn; ++i) {
+    const Cell& c = tenants_[i].load(std::memory_order_acquire)->cells[cls];
+    r.submitted += c.submitted.load(std::memory_order_relaxed);
+    r.shed += c.shed.load(std::memory_order_relaxed);
+    r.degraded += c.degraded.load(std::memory_order_relaxed);
+    r.perforated += c.perforated.load(std::memory_order_relaxed);
+    r.served_accurate += c.served_accurate.load(std::memory_order_relaxed);
+    r.served_approximate +=
+        c.served_approximate.load(std::memory_order_relaxed);
+    r.served_dropped += c.served_dropped.load(std::memory_order_relaxed);
+    r.expired += c.expired.load(std::memory_order_relaxed);
+    r.timed_out += c.timed_out.load(std::memory_order_relaxed);
+  }
   r.in_flight = s.in_flight.load(std::memory_order_relaxed);
 
   const support::Histogram h = s.latency.merged();

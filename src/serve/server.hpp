@@ -64,12 +64,6 @@ struct ServerOptions {
   /// (every admitted request must complete exactly one body).
   RuntimeConfig runtime;
 
-  /// Shards per class latency histogram (see support::ShardedHistogram).
-  /// 0 = auto: one per recording thread (the workers, plus the dispatcher
-  /// which records perforation-free completions in inline mode), so
-  /// recording threads rarely contend on a shard.
-  unsigned histogram_shards = 0;
-
   /// QoS controller sampling period.  0 disables the controller thread:
   /// ratios stay wherever register_class/set_ratio put them (used by the
   /// deterministic admission tests and by callers driving ratios manually).
@@ -173,7 +167,8 @@ class Server {
 
  private:
   /// One (tenant, class) accounting cell: every counter a TenantClassCell
-  /// reports, maintained at admission/completion time.
+  /// reports, maintained at admission/completion time.  The only copy of
+  /// the outcome counters — class_report sums the cells of its class.
   struct Cell {
     std::atomic<std::size_t> in_flight{0};
     std::atomic<std::uint64_t> submitted{0};
@@ -214,16 +209,9 @@ class Server {
     EdfQueue edf;
     std::atomic<std::size_t> in_runtime{0};
 
+    /// Admitted, not yet resolved (staged + heaped + in-runtime): the
+    /// class bound admission checks.
     std::atomic<std::size_t> in_flight{0};
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> degraded{0};
-    std::atomic<std::uint64_t> perforated{0};
-    std::atomic<std::uint64_t> served_accurate{0};
-    std::atomic<std::uint64_t> served_approximate{0};
-    std::atomic<std::uint64_t> served_dropped{0};
-    std::atomic<std::uint64_t> expired{0};
-    std::atomic<std::uint64_t> timed_out{0};
 
     /// Watchdog registry: intrusive doubly-linked list of issued requests
     /// (linked at dispatch, unlinked at complete) the controller sweeps for

@@ -1,13 +1,15 @@
 // TaskGroup accounting tests: counters, reports, inversion metric, ratio
-// retargeting, reset.
+// retargeting, reset, and the quiescence waiter list.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "core/group.hpp"
 
 namespace {
 
+using sigrt::BarrierWaiter;
 using sigrt::ExecutionKind;
 using sigrt::GroupReport;
 using sigrt::TaskGroup;
@@ -101,22 +103,53 @@ TEST(TaskGroup, InternalTasksExcludedFromStats) {
   EXPECT_EQ(r.spawned, 1u);  // spawn still tracked for the barrier
 }
 
-TEST(TaskGroup, WaitBlocksUntilPendingZero) {
+// The group's waiter list is the wake path of every wait_group: a waiter
+// registered on it is notified by the completion that drives pending to
+// zero.  Parks are bounded, so a lost notify fails instead of hanging.
+TEST(TaskGroup, LastCompletionWakesRegisteredWaiter) {
   TaskGroup g(1, "g", 1.0, true);
   g.on_spawn();
+  BarrierWaiter* const w = sigrt::this_thread_waiter();
+  g.waiters().add(w);
   std::thread completer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     g.on_complete(ExecutionKind::Accurate, 1.0f, 1.0, false);
   });
-  g.wait();
+  // Register / re-check / park, as Runtime::help_until does.
+  w->parker.prepare_park();
+  bool woken = g.pending() == 0;
+  if (woken) {
+    w->parker.cancel_park();
+  } else {
+    woken = w->parker.park_for(std::chrono::seconds(10));
+  }
+  EXPECT_TRUE(woken) << "the last on_complete did not notify the waiter";
   EXPECT_EQ(g.pending(), 0u);
   completer.join();
+  g.waiters().remove(w);
 }
 
-TEST(TaskGroup, WaitReturnsImmediatelyWhenIdle) {
+TEST(TaskGroup, OnlyTheQuiescingCompletionNotifies) {
   TaskGroup g(1, "g", 1.0, true);
-  g.wait();  // must not block
-  SUCCEED();
+  g.on_spawn();
+  g.on_spawn();
+  BarrierWaiter* const w = sigrt::this_thread_waiter();
+  g.waiters().add(w);
+
+  w->parker.prepare_park();
+  g.on_complete(ExecutionKind::Accurate, 1.0f, 1.0, false);  // 1 pending
+  EXPECT_FALSE(w->parker.park_for(std::chrono::milliseconds(1)));
+
+  w->parker.prepare_park();
+  g.on_complete(ExecutionKind::Accurate, 1.0f, 1.0, false);  // quiesced
+  EXPECT_TRUE(w->parker.park_for(std::chrono::seconds(10)));
+
+  // Removed waiters are no longer notified.
+  g.waiters().remove(w);
+  g.on_spawn();
+  w->parker.prepare_park();
+  g.on_complete(ExecutionKind::Accurate, 1.0f, 1.0, false);
+  EXPECT_FALSE(w->parker.park_for(std::chrono::milliseconds(1)));
 }
 
 TEST(TaskGroup, SetRatioVisible) {

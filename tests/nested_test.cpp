@@ -1,7 +1,7 @@
 // Nested-parallelism tests: any-thread spawn, in-task taskwait (helping
 // barrier), recursive fan-out at several worker counts, group barriers
-// issued from inside task bodies, and nested spawn under a buffering
-// policy.  This suite runs under TSan in CI — it is the data-race gate
+// issued from inside task bodies, nested spawn under a buffering policy,
+// and the same barrier loop entered from plain (non-task) threads.  This suite runs under TSan in CI — it is the data-race gate
 // for the multi-spawner runtime contract.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/parker.hpp"
 #include "core/sigrt.hpp"
 
 namespace {
@@ -274,6 +275,49 @@ INSTANTIATE_TEST_SUITE_P(Policies, NestedWaitOnRemoteWriter,
                            return std::string(sigrt::to_string(info.param));
                          });
 
+// The plain-thread twin: a wait_on from outside any task body never helps;
+// it parks on the thread's own waiter handle, untimed under LQH, while the
+// writer runs on a worker.  Only the fence body's notify can wake it.  A
+// watchdog re-notifies the handle after 10 s, so a missed wake fails the
+// test instead of hanging the suite.
+TEST(PlainThreadWait, WaitOnRemoteWriterWakesUntimedPark) {
+  Runtime rt(workers_config(2, PolicyKind::LQH));
+  alignas(1024) static int cell[256];
+  cell[7] = 0;
+  std::atomic<bool> writer_started{false};
+  std::atomic<bool> waiting{false};
+  rt.spawn(sigrt::task([&] {
+             writer_started.store(true);
+             while (!waiting.load()) std::this_thread::yield();
+             std::this_thread::sleep_for(std::chrono::milliseconds(20));
+             cell[7] = 42;
+           })
+               .significance(1.0)
+               .out(cell, 256));
+  while (!writer_started.load()) std::this_thread::yield();
+
+  std::atomic<bool> returned{false};
+  std::atomic<bool> rescued{false};
+  sigrt::BarrierWaiter* const handle = sigrt::this_thread_waiter();
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!returned.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        rescued.store(true);
+        handle->notify();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  waiting.store(true);
+  rt.wait_on(cell, sizeof(cell));  // writer still running: parks
+  returned.store(true);
+  watchdog.join();
+  EXPECT_EQ(cell[7], 42);
+  EXPECT_FALSE(rescued.load()) << "plain-thread wait_on missed the fence's wake";
+}
+
 class NestedGtb : public ::testing::TestWithParam<unsigned> {};
 
 // Nested spawn under a buffering policy: children spawned from a task body
@@ -325,6 +369,42 @@ TEST_P(NestedGtbNoWait, UnwaitedBufferedChildrenStillFlushAtTopBarrier) {
 
 INSTANTIATE_TEST_SUITE_P(WorkerSweep, NestedGtbNoWait,
                          ::testing::Values(0u, 1u, 2u, 8u));
+
+// The wait_group twin of NestedGtbNoWait, from a plain thread: the entry
+// flush releases member A, and A spawns member B into the group's GTB
+// window DURING the barrier.  Only the barrier's periodic re-flush (its
+// timed park under a buffering policy) can release B.  A watchdog fills
+// the window after 10 s, so a missing re-flush fails instead of hanging.
+TEST(PlainThreadWait, GroupMemberSpawnedDuringBarrierIsFlushed) {
+  RuntimeConfig c = workers_config(2, PolicyKind::GTB);
+  c.gtb_buffer = 2;  // B alone never fills the window
+  Runtime rt(c);
+  const auto g = rt.create_group("g", 1.0);
+  std::atomic<int> ran{0};
+  rt.spawn(sigrt::task([&rt, &ran, g] {
+             ran.fetch_add(1);
+             rt.spawn(sigrt::task([&ran] { ran.fetch_add(1); }).group(g));
+           }).group(g));
+
+  std::atomic<bool> returned{false};
+  std::atomic<bool> rescued{false};
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!returned.load()) {
+      if (std::chrono::steady_clock::now() > deadline && !rescued.load()) {
+        rescued.store(true);
+        rt.spawn(sigrt::task([&ran] { ran.fetch_add(1); }).group(g));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  rt.wait_group(g);
+  returned.store(true);
+  watchdog.join();
+  EXPECT_FALSE(rescued.load()) << "the barrier never re-flushed the window";
+  EXPECT_EQ(ran.load(), rescued.load() ? 3 : 2);
+}
 
 TEST(Nested, ConcurrentUserThreadsSpawnSafely) {
   // The multi-spawner half of the contract without task nesting: several

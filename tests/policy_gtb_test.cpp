@@ -147,17 +147,6 @@ TEST(GtbPolicy, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(GtbPolicy, OracleMatchesMaxBuffer) {
-  auto run_with = [](PolicyKind p) {
-    Runtime rt(config(p));
-    const auto g = rt.create_group("g", 0.35);
-    return classify(rt, g, 211, [](std::size_t i) {
-      return static_cast<double>((i * 5) % 9 + 1) / 10.0;
-    });
-  };
-  EXPECT_EQ(run_with(PolicyKind::GTBMaxBuffer), run_with(PolicyKind::Oracle));
-}
-
 TEST(GtbPolicy, SpecialValuesBypassQuota) {
   Runtime rt(config(PolicyKind::GTBMaxBuffer));
   const auto g = rt.create_group("g", 0.0);

@@ -137,7 +137,7 @@ TEST_P(PolicyProperty, AchievedRatioTracksRequested) {
 TEST_P(PolicyProperty, NoInversionsForSingleWindowPolicies) {
   const Params& p = GetParam();
   const auto out = run(900);
-  if (p.policy == PolicyKind::GTBMaxBuffer || p.policy == PolicyKind::Oracle) {
+  if (p.policy == PolicyKind::GTBMaxBuffer) {
     EXPECT_DOUBLE_EQ(out.report.inversion_fraction, 0.0);
   }
 }
@@ -176,8 +176,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::ValuesIn([] {
       std::vector<Params> ps;
       for (const PolicyKind policy :
-           {PolicyKind::GTB, PolicyKind::GTBMaxBuffer, PolicyKind::LQH,
-            PolicyKind::Oracle}) {
+           {PolicyKind::GTB, PolicyKind::GTBMaxBuffer, PolicyKind::LQH}) {
         for (const double ratio : {0.0, 0.3, 0.5, 0.8, 1.0}) {
           for (const unsigned workers : {0u, 4u}) {
             for (const Dist dist :

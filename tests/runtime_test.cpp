@@ -406,8 +406,7 @@ TEST(Runtime, ConcurrentSpawnersMintUniqueTaskIds) {
 // breaks it silently.
 TEST(Runtime, GroupReportInvariantHoldsAcrossPolicies) {
   const PolicyKind kPolicies[] = {PolicyKind::Agnostic, PolicyKind::GTB,
-                                  PolicyKind::GTBMaxBuffer, PolicyKind::LQH,
-                                  PolicyKind::Oracle};
+                                  PolicyKind::GTBMaxBuffer, PolicyKind::LQH};
   for (const PolicyKind policy : kPolicies) {
     for (const unsigned workers : {0u, 2u}) {
       Runtime rt(threaded_config(workers, policy));

@@ -88,8 +88,6 @@ TEST(Stats, PolicyNameMatchesConfig) {
   EXPECT_STREQ(Runtime(inline_config(PolicyKind::GTBMaxBuffer)).policy_name(),
                "GTB(MaxBuffer)");
   EXPECT_STREQ(Runtime(inline_config(PolicyKind::LQH)).policy_name(), "LQH");
-  EXPECT_STREQ(Runtime(inline_config(PolicyKind::Oracle)).policy_name(),
-               "oracle");
 }
 
 TEST(Stats, TrackerStatsVisibleThroughRuntime) {
