@@ -119,7 +119,7 @@ class ChaseLevDeque {
 
   /// Any thread: conservative emptiness probe (used by the park re-check;
   /// callers tolerate staleness in the "false" direction only when paired
-  /// with the eventcount's two-phase protocol).
+  /// with the Parker's two-phase protocol).
   [[nodiscard]] bool empty() const noexcept {
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
     const std::int64_t t = top_.load(std::memory_order_acquire);

@@ -1,8 +1,29 @@
-// Per-thread two-phase parker and the barrier-waiter handle that wires a
+// Two-phase park/unpark (Parker) and the barrier-waiter handle that wires a
 // task's last-child completion, a group's or the runtime's quiescence, or a
 // wait_on fence to whatever the waiting thread is currently sleeping on.
 //
-// Why this exists: every taskwait — from a task body or from any other
+// The lost-wakeup problem: a thread checks its wait condition, finds it
+// closed, and goes to sleep; a producer opens the condition in between and
+// its notification finds nobody waiting.  Parker fixes it without a shared
+// lock, Dekker-style:
+//
+//   sleeper                               producer
+//   -------                               --------
+//   1. prepare_park(): state=PARKED       1. publish (open the condition)
+//      + seq_cst fence                       + seq_cst fence
+//   2. re-check the condition             2. read the sleeper's state
+//   3a. open   -> cancel_park()           3. unpark(): CAS PARKED->NOTIFIED,
+//   3b. closed -> park(): block              wake
+//
+// The two seq_cst fences guarantee at least one side observes the other:
+// either the sleeper's re-check (2) sees the publish, or the producer's
+// state read (2) sees PARKED and delivers a wake that park() consumes.
+// The mutex+condvar are touched only on the slow (actually sleeping) path;
+// unparking a running thread is one load and no syscall.  Users: each
+// scheduler worker slot (producers wake the slot that received work), each
+// serve dispatcher, and each barrier waiter below.
+//
+// Barrier waiters.  Every taskwait — from a task body or from any other
 // thread — runs through one loop (Runtime::help_until).  A waiter inside a
 // task body helps, executing other tasks; when nothing is acquirable (or
 // the waiter owns no worker slot and may not help) the awaited work is in
@@ -17,17 +38,16 @@
 //   3a. open/work -> don't park            3. waiter->notify()
 //   3b. closed    -> park
 //
-// The two seq_cst fences are the same Dekker argument as eventcount.hpp:
-// at least one side observes the other, so a parked waiter cannot miss the
+// This is the Parker pairing again, so a parked waiter cannot miss the
 // zero crossing.
 //
-// A waiter may be parked in one of two ways — on its *scheduler eventcount
-// slot* (a slot-owning worker: producer wakes keep reaching it, so new work
-// still gets helped) or on the Parker below (a thread that owns no slot: a
-// plain thread, or a worker that handed its slot to a spare and is blocked
-// for real).  notify() covers both targets; a notification aimed at a stale
-// target only wakes somebody spuriously, and every park in this codebase
-// re-checks its condition on wake.
+// A waiter may be parked in one of two ways — on its *scheduler slot's*
+// Parker (a slot-owning worker: producer wakes keep reaching it, so new
+// work still gets helped) or on its own Parker (a thread that owns no
+// slot: a plain thread, or a worker that handed its slot to a spare and is
+// blocked for real).  notify() covers both targets; a notification aimed
+// at a stale target only wakes somebody spuriously, and every park in this
+// codebase re-checks its condition on wake.
 //
 // Lifetime: BarrierWaiter handles are leased per thread from an immortal
 // freelist (this_thread_waiter()).  A completer that loaded the pointer
@@ -40,17 +60,16 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <vector>
 
 #include "support/mutex.hpp"
 
 namespace sigrt {
 
-/// One-thread two-phase park/unpark: the single-slot analogue of
-/// EventCount (see eventcount.hpp for the protocol discussion).  Used by
-/// slot-less barrier waiters, where no producer needs to find the sleeper
-/// — only the barrier's completion side does.
-class Parker {
+/// One-thread two-phase park/unpark.  Cache-line aligned: producers probe
+/// parked() on other threads' Parkers on every wake decision.
+class alignas(64) Parker {
  public:
   /// Phase 1 (owner thread): announce intent to sleep.  Follow with a
   /// re-check of the wait condition, then cancel_park() or park().
@@ -60,7 +79,7 @@ class Parker {
   }
 
   /// Re-check found the condition satisfied: revoke (swallowing any
-  /// notification that raced in).
+  /// notification that raced in — the condition is visible either way).
   void cancel_park() noexcept {
     state_.exchange(kIdle, std::memory_order_acq_rel);
   }
@@ -77,7 +96,9 @@ class Parker {
 
   /// Timed phase 2: wakes on notification or after `timeout` (whichever is
   /// first) — barrier waiters under a buffering policy must surface
-  /// periodically to re-flush the policy window.  Returns true when an
+  /// periodically to re-flush the policy window.  A timeout that races an
+  /// unpark() consumes it (the owner is awake either way); an unpark() that
+  /// lands after the kIdle store fails its CAS.  Returns true when an
   /// unpark() woke it.
   bool park_for(std::chrono::microseconds timeout) {
     support::MutexLock lock(mutex_);
@@ -90,16 +111,26 @@ class Parker {
 
   /// Any thread: wake the owner iff it is parked (or mid-park).  No token
   /// is stored for an idle owner — the two-phase re-check makes one
-  /// unnecessary, exactly as in EventCount::notify.
-  void unpark() noexcept {
+  /// unnecessary.  Returns true when a wake was delivered, false when the
+  /// owner was not parked (it will see the published state on its own).
+  bool unpark() noexcept {
     std::uint32_t expected = kParked;
     if (!state_.compare_exchange_strong(expected, kNotified,
                                         std::memory_order_acq_rel,
                                         std::memory_order_relaxed)) {
-      return;
+      return false;
     }
+    // Lock/unlock pairs with the owner's state check under the same mutex
+    // in park(): the wake cannot land between that check and the wait.
     { support::MutexLock lock(mutex_); }
     cv_.notify_one();
+    return true;
+  }
+
+  /// Cheap probe for wake-target selection (racy by design: a false
+  /// negative only means the producer skips a CAS it would have lost).
+  [[nodiscard]] bool parked() const noexcept {
+    return state_.load(std::memory_order_acquire) == kParked;
   }
 
  private:
@@ -111,32 +142,23 @@ class Parker {
 
 /// The wake-target handle a barrier waiter registers on a Task (children
 /// scope) or a WaiterList (quiescence scope), or hands to its wait_on
-/// fence.  notify() is safe from any thread at any time: it touches only
-/// this handle, which the freelist keeps alive for the program's lifetime.
+/// fence.  notify() is safe from any thread at any time: it touches this
+/// handle, which the freelist keeps alive for the program's lifetime, and
+/// the slot Parker it names, which lives as long as its scheduler.
 struct BarrierWaiter {
   Parker parker;
 
-  /// When the waiter is parked on a scheduler eventcount slot, these name
-  /// it: sched_notify(sched, worker) delivers the wake (a trampoline to
-  /// Scheduler::notify_worker — kept as an erased pointer so this header
-  /// depends on neither scheduler.hpp nor vice versa).  sched == nullptr
-  /// means the waiter is parker-parked (or not parked at all).
-  std::atomic<void*> sched{nullptr};
-  std::atomic<unsigned> worker{0};
-  /// Atomic because a STALE notifier (from a barrier this waiter already
-  /// left — tolerated, it is just a spurious wake) may read it while the
-  /// waiter re-registers for a new park.  The sched release/acquire pair
-  /// still orders the store for current notifiers, and the value is the
-  /// same trampoline every time, so relaxed accesses suffice.
-  std::atomic<void (*)(void*, unsigned)> sched_notify{nullptr};
+  /// The scheduler slot Parker the waiter sleeps on while it owns a worker
+  /// slot (set by Scheduler::park_worker_for_barrier); nullptr while it
+  /// sleeps on `parker` (or is not parked at all).  Atomic because a STALE
+  /// notifier (from a barrier this waiter already left — tolerated, it is
+  /// just a spurious wake) may read it while the waiter re-registers.
+  std::atomic<Parker*> slot{nullptr};
 
   BarrierWaiter* next_free = nullptr;  ///< freelist linkage (under its mutex)
 
   void notify() noexcept {
-    if (void* s = sched.load(std::memory_order_acquire)) {
-      sched_notify.load(std::memory_order_relaxed)(
-          s, worker.load(std::memory_order_relaxed));
-    }
+    if (Parker* p = slot.load(std::memory_order_acquire)) p->unpark();
     parker.unpark();
   }
 };
@@ -201,7 +223,7 @@ struct WaiterLease {
   BarrierWaiter* w = nullptr;
   ~WaiterLease() {
     if (w == nullptr) return;
-    w->sched.store(nullptr, std::memory_order_relaxed);
+    w->slot.store(nullptr, std::memory_order_relaxed);
     WaiterFreelist& fl = waiter_freelist();
     support::MutexLock lock(fl.mutex);
     w->next_free = fl.head;

@@ -656,7 +656,7 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
       }
     }
     if (blocked_mode) {
-      waiter->sched.store(nullptr, std::memory_order_release);
+      waiter->slot.store(nullptr, std::memory_order_release);
       waiter->parker.prepare_park();
       if (done()) {
         waiter->parker.cancel_park();
@@ -668,19 +668,12 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
         waiter->parker.park_for(std::chrono::microseconds(1000));
       }
     } else {
-      // Slot-owning waiter parks on its scheduler eventcount slot, so
-      // producer wakes (new work published to this worker) reach it too —
-      // it surfaces, helps, and re-parks.  The completion notify routes
-      // through sched_notify -> Scheduler::notify_worker.
-      waiter->worker.store(scheduler_->current_worker(),
-                           std::memory_order_relaxed);
-      waiter->sched_notify.store(
-          [](void* s, unsigned i) {
-            static_cast<Scheduler*>(s)->notify_worker(i);
-          },
-          std::memory_order_relaxed);
-      waiter->sched.store(scheduler_.get(), std::memory_order_release);
+      // Slot-owning waiter parks on its worker slot's Parker, so producer
+      // wakes (new work published to this worker) reach it too — it
+      // surfaces, helps, and re-parks.  The scheduler names that Parker in
+      // waiter->slot, where the completion notify finds it.
       scheduler_->park_worker_for_barrier(
+          waiter->slot,
           [](void* ctx) { return (*static_cast<Done*>(ctx))(); }, &done,
           pass_through_ ? std::chrono::microseconds(0)
                         : std::chrono::microseconds(1000));
@@ -692,7 +685,7 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
     } else if (wlist != nullptr) {
       wlist->remove(waiter);
     }
-    waiter->sched.store(nullptr, std::memory_order_release);
+    waiter->slot.store(nullptr, std::memory_order_release);
   }
 }
 

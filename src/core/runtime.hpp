@@ -27,7 +27,7 @@
 //   * Every taskwait runs through one loop (help_until).  Issued from
 //     inside a task body it never blocks the worker's OS thread: it drains,
 //     steals and executes tasks until the barrier opens, and parks on the
-//     worker's eventcount slot only when nothing is acquirable.  Issued
+//     worker slot's Parker only when nothing is acquirable.  Issued
 //     from any other thread it does not help: it re-flushes a buffering
 //     policy and parks on the thread's pooled waiter handle until the
 //     barrier's completion side wakes it.  In-task wait_all() barriers on
@@ -233,8 +233,8 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   /// `done()` holds.  A waiter that finds nothing acquirable registers its
   /// BarrierWaiter on `wtask` (children scope) or else on `wlist`
   /// (quiescence scope; wait_on passes neither — its fence notifies the
-  /// handle directly) and parks: on its eventcount slot while it owns one,
-  /// on its Parker otherwise.  A thread without a slot — a plain thread,
+  /// handle directly) and parks: on its worker slot's Parker while it owns
+  /// one, on its own Parker otherwise.  A thread without a slot — a plain thread,
   /// or a worker past kHelpingDepth or inside begin_blocking() — never
   /// helps, only re-flushes and parks.  Under buffering policies parks are
   /// timed so the policy window is re-flushed.  Inline mode helps and

@@ -42,7 +42,7 @@ Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
       ctx_(ctx),
       execute_(execute),
       on_dequeue_(on_dequeue),
-      ec_(workers) {
+      parkers_(workers) {
   assert(execute_ != nullptr && "scheduler needs an execute callback");
   worker_total_ = workers;
   if (workers > 0) {
@@ -75,12 +75,12 @@ Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
 
 Scheduler::~Scheduler() {
   // Shutdown ordering: publish `stopping` first (seq_cst), then release
-  // every parked worker.  A worker between prepare_wait and commit_wait
-  // either sees the flag in its re-check or consumes the signal delivered
-  // by notify_all — a lost wakeup (and a hung join) is impossible.  Workers
+  // every parked worker.  A worker between prepare_park and park either
+  // sees the flag in its re-check or consumes the wake delivered by the
+  // unpark below — a lost wakeup (and a hung join) is impossible.  Workers
   // drain all work still visible to them before exiting.
   stopping_.store(true, std::memory_order_seq_cst);
-  ec_.notify_all();
+  for (Parker& p : parkers_) p.unpark();
   {
     // Spares parked in the pool see `stopping` on wake and exit; a detach
     // in flight holds pool_mutex_, so by the time we collect the thread
@@ -159,7 +159,7 @@ unsigned Scheduler::pick_target(Partition part) noexcept {
 unsigned Scheduler::wake_workers(unsigned preferred, Partition part,
                                  unsigned count) {
   unsigned woken = 0;
-  if (preferred != kNoPreference && ec_.notify(preferred)) ++woken;
+  if (preferred != kNoPreference && parkers_[preferred].unpark()) ++woken;
   if (woken >= count || !steal_enabled_) return woken;
   // The task is stealable: hand the remaining wakes to parked workers
   // entitled to the partition.
@@ -167,7 +167,7 @@ unsigned Scheduler::wake_workers(unsigned preferred, Partition part,
   for (unsigned i = 0; i < n && woken < count; ++i) {
     if (i == preferred) continue;
     if (part == kReliableOnly && is_unreliable(i)) continue;
-    if (ec_.waiting(i) && ec_.notify(i)) ++woken;
+    if (parkers_[i].parked() && parkers_[i].unpark()) ++woken;
   }
   return woken;
 }
@@ -355,7 +355,7 @@ void Scheduler::enqueue_bulk(Task* const* tasks, std::size_t count) {
   unsigned budget =
       static_cast<unsigned>(std::min<std::size_t>(count, n));
   for (unsigned target = 0; target < n && budget > 0; ++target) {
-    if (was_empty[target] && ec_.notify(target)) --budget;
+    if (was_empty[target] && parkers_[target].unpark()) --budget;
   }
   if (steal_enabled_ && budget > 0) {
     wake_workers(kNoPreference, has_any_part ? kAnyWorker : kReliableOnly,
@@ -636,20 +636,21 @@ void Scheduler::worker_loop(unsigned index) {
     }
     if (found) continue;
 
-    // Two-phase park (see eventcount.hpp): announce, re-check everything
+    // Two-phase park (see parker.hpp): announce, re-check everything
     // we could possibly take — including the stop flag — then commit.
-    ec_.prepare_wait(index);
+    Parker& parker = parkers_[index];
+    parker.prepare_park();
     if (stopping_.load(std::memory_order_acquire)) {
-      ec_.cancel_wait(index);
+      parker.cancel_park();
       if (!has_visible_work(index)) return;  // drained: exit
       continue;                              // keep draining
     }
     if (has_visible_work(index)) {
-      ec_.cancel_wait(index);
+      parker.cancel_park();
       continue;
     }
     slot.state.store(WorkerState::Sleeping, std::memory_order_relaxed);
-    ec_.commit_wait(index);
+    parker.park();
   }
 }
 
@@ -748,8 +749,6 @@ bool Scheduler::owns_current_slot() const noexcept {
   return tls_scheduler == this && tls_owns_slot;
 }
 
-unsigned Scheduler::current_worker() const noexcept { return tls_worker; }
-
 bool Scheduler::current_worker_unreliable() const noexcept {
   return tls_scheduler == this && tls_owns_slot && is_unreliable(tls_worker);
 }
@@ -770,29 +769,32 @@ void Scheduler::run_now(Task* task) {
   run_task(task, tls_worker);
 }
 
-bool Scheduler::park_worker_for_barrier(bool (*open)(void*), void* ctx,
+bool Scheduler::park_worker_for_barrier(std::atomic<Parker*>& announce,
+                                        bool (*open)(void*), void* ctx,
                                         std::chrono::microseconds timeout) {
   if (tls_scheduler != this || !tls_owns_slot) return false;
   const unsigned i = tls_worker;
+  WorkerSlot& slot = *slots_[i];
+  Parker& parker = parkers_[i];
   // Two-phase park, with the BARRIER condition folded into the re-check:
   // the completion side (last-child decrement / group quiescence) issues
   // its fence before loading the waiter it notifies, so either our
-  // re-check sees the barrier open or the completer sees kWaiting and
-  // delivers the wake.  Producers publishing new work wake this slot the
-  // same way they wake an idle worker — a parked helper stays live for
-  // both events.
-  ec_.prepare_wait(i);
+  // re-check sees the barrier open or the completer sees the slot Parker
+  // (published here, before our fence) parked and delivers the wake.
+  // Producers publishing new work wake this slot the same way they wake an
+  // idle worker — a parked helper stays live for both events.
+  announce.store(&parker, std::memory_order_release);
+  parker.prepare_park();
   if (stopping_.load(std::memory_order_acquire) || open(ctx) ||
       has_visible_work(i)) {
-    ec_.cancel_wait(i);
+    parker.cancel_park();
     return false;
   }
-  WorkerSlot& slot = *slots_[i];
   slot.state.store(WorkerState::Sleeping, std::memory_order_relaxed);
   if (timeout.count() > 0) {
-    ec_.commit_wait_for(i, timeout);
+    (void)parker.park_for(timeout);
   } else {
-    ec_.commit_wait(i);
+    parker.park();
   }
   slot.state.store(WorkerState::Scanning, std::memory_order_relaxed);
   return true;

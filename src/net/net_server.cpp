@@ -91,7 +91,7 @@ struct NetServer::NetRequest {
 
   /// Single-responder token: finish() claims it before building/pushing the
   /// response; the serve watchdog's on_timeout claims it before answering
-  /// through a fresh shell.  The loser discards — exactly one response per
+  /// through a fresh node.  The loser discards — exactly one response per
   /// request id ever reaches the wire, and a stuck body can never scribble
   /// into a buffer the watchdog already framed.
   std::atomic<bool> claimed{false};
@@ -675,19 +675,11 @@ void NetServer::submit_frame(Conn* conn, const std::uint8_t* body,
     return;
   }
 
-  NetRequest* r = acquire_request();
-  r->srv = this;
-  r->conn = conn;
-  r->handler = handler;
-  r->id = h.id;
-  r->accepted_ns = support::now_ns();
-  r->claimed.store(false, std::memory_order_relaxed);
-  r->payload.assign(body + kRequestHeaderBytes, body + bytes);
-  conn_ref(conn);  // the in-flight request pins the connection
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
   const std::int64_t watchdog_ns = server_.class_watchdog_ns(h.cls);
-  r->pins.store(watchdog_ns > 0 ? 2 : 1, std::memory_order_relaxed);
+  NetRequest* r = start_request(conn, h.id, watchdog_ns > 0 ? 2 : 1);
+  r->handler = handler;
+  r->payload.assign(body + kRequestHeaderBytes, body + bytes);
+  requests_.fetch_add(1, std::memory_order_relaxed);
 
   // Single-pointer captures stay inside std::function's small-buffer
   // storage (16 B in libstdc++/libc++), so building the Job allocates
@@ -713,10 +705,13 @@ void NetServer::submit_frame(Conn* conn, const std::uint8_t* body,
     job.on_timeout = [r, guard] {
       // Claim before touching anything: if the body already responded, the
       // timeout is a no-op; if we win, the body's late result is discarded
-      // and the client gets a Timeout frame through a fresh shell (the
-      // body may still be scribbling into r->out).
+      // and the client gets a Timeout frame through a fresh node (the body
+      // may still be scribbling into r->out).  server_ns stays 0: the
+      // fresh node never saw the request arrive.
       if (!r->claimed.exchange(true, std::memory_order_acq_rel)) {
-        r->srv->respond_shell(r->conn, r->id, Status::Timeout);
+        NetServer* srv = r->srv;
+        srv->push_response(srv->start_request(r->conn, r->id, 1),
+                           Status::Timeout, 0);
       }
     };
   }
@@ -728,6 +723,11 @@ void NetServer::submit_frame(Conn* conn, const std::uint8_t* body,
 
 void NetServer::respond_error(Conn* conn, std::uint32_t id, Status status) {
   protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  finish(start_request(conn, id, 1), status);
+}
+
+NetServer::NetRequest* NetServer::start_request(Conn* conn, std::uint32_t id,
+                                                int pins) {
   NetRequest* r = acquire_request();
   r->srv = this;
   r->conn = conn;
@@ -735,9 +735,9 @@ void NetServer::respond_error(Conn* conn, std::uint32_t id, Status status) {
   r->id = id;
   r->accepted_ns = support::now_ns();
   r->claimed.store(false, std::memory_order_relaxed);
-  r->pins.store(1, std::memory_order_relaxed);
-  conn_ref(conn);
-  finish(r, status);
+  r->pins.store(pins, std::memory_order_relaxed);
+  conn_ref(conn);  // the request pins the connection until it recycles
+  return r;
 }
 
 void NetServer::run_body(NetRequest* r, bool approximate) {
@@ -749,54 +749,33 @@ void NetServer::run_body(NetRequest* r, bool approximate) {
   r->srv->finish(r, approximate ? Status::OkApprox : Status::Ok);
 }
 
-void NetServer::respond_shell(Conn* conn, std::uint32_t id, Status status) {
-  NetRequest* r = acquire_request();
-  r->srv = this;
-  r->conn = conn;
-  r->handler = nullptr;
-  r->id = id;
-  r->accepted_ns = support::now_ns();
-  r->claimed.store(true, std::memory_order_relaxed);  // born claimed
-  r->pins.store(1, std::memory_order_relaxed);
-  conn_ref(conn);
-  ResponseHeader h;
-  h.id = id;
-  h.status = status;
-  h.server_ns = 0;
-  r->out.clear();
-  r->out.resize(kLenPrefixBytes + kResponseHeaderBytes);
-  put_u32(r->out.data(),
-          static_cast<std::uint32_t>(r->out.size() - kLenPrefixBytes));
-  h.encode(r->out.data() + kLenPrefixBytes);
-  r->out_off = 0;
-  push_response(r);
-}
-
 void NetServer::finish(NetRequest* r, Status status) {
   // Single-responder: if the serve watchdog already answered this request
-  // through a shell, the late body result is discarded — never two frames
-  // for one id, and never a push racing the watchdog's.
+  // through a fresh node, the late body result is discarded — never two
+  // frames for one id, and never a push racing the watchdog's.
   if (r->claimed.exchange(true, std::memory_order_acq_rel)) {
     release_request(r);
     return;
   }
+  push_response(r, status, support::now_ns() - r->accepted_ns);
+}
+
+void NetServer::push_response(NetRequest* r, Status status,
+                              std::int64_t server_ns) {
   if (status != Status::Ok && status != Status::OkApprox) {
-    // Error/shed responses carry no payload.
+    // Error/shed/timeout responses carry no payload.
     r->out.clear();
     r->out.resize(kLenPrefixBytes + kResponseHeaderBytes);
   }
   ResponseHeader h;
   h.id = r->id;
   h.status = status;
-  h.server_ns = support::now_ns() - r->accepted_ns;
+  h.server_ns = server_ns;
   put_u32(r->out.data(),
           static_cast<std::uint32_t>(r->out.size() - kLenPrefixBytes));
   h.encode(r->out.data() + kLenPrefixBytes);
   r->out_off = 0;
-  push_response(r);
-}
 
-void NetServer::push_response(NetRequest* r) {
   Conn* c = r->conn;
   // Publishing r into the outq hands r's connection reference to whichever
   // thread flushes it — which can happen (and release the last reference)

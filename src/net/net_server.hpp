@@ -150,12 +150,17 @@ class NetServer {
   static void run_body(NetRequest* r, bool approximate);
   void submit_frame(Conn* conn, const std::uint8_t* body, std::size_t bytes);
   void respond_error(Conn* conn, std::uint32_t id, Status status);
-  /// Builds and pushes a payload-less response through a FRESH request
-  /// shell — the watchdog path, where the original NetRequest's buffers may
-  /// still be owned by a running body.  Takes its own connection reference.
-  void respond_shell(Conn* conn, std::uint32_t id, Status status);
+  /// A pooled request node for response `id` on `conn`, unclaimed, with
+  /// `pins` node references and its own connection reference.
+  [[nodiscard]] NetRequest* start_request(Conn* conn, std::uint32_t id,
+                                          int pins);
+  /// Claims the single-responder token, then frames and pushes; a request
+  /// already answered (by the watchdog) is released instead.
   void finish(NetRequest* r, Status status);
-  void push_response(NetRequest* r);
+  /// The one response-framing path: writes the length prefix and header
+  /// (payload-less unless `status` is Ok/OkApprox) and publishes the frame
+  /// on the connection's outbound queue.
+  void push_response(NetRequest* r, Status status, std::int64_t server_ns);
 
   [[nodiscard]] NetRequest* acquire_request();
   /// Write-path release: returns the request's outq byte charge, then

@@ -1,21 +1,16 @@
-// Hand-off structures between submitting client threads and the server's
-// dispatcher tier.
+// The hand-off between submitting client threads and the server's
+// dispatcher tier: one EdfQueue per request class, the only queue stage.
 //
-// Two stages:
-//
-//   * RequestQueue — lock-free MPSC staging queue (the scheduler-inbox
-//     idiom): submitters take one CAS per push; a dispatcher consumes the
-//     whole chain with one exchange.  The *bound* is not here — admission
-//     control counts in-flight requests (queued + executing) per class and
-//     per tenant, not queue depth, so back-pressure survives the hand-off
-//     into the scheduler; see Server::submit.
-//   * EdfQueue — per-class earliest-deadline-first heap the dispatchers
-//     drain the staging chain into.  Within a class, requests issue to the
-//     runtime in deadline order (not arrival order), throttled by the
-//     class's dispatch window, so under backlog the p99 the QosController
-//     regulates reflects urgency.  Spinlocked: push/pop are a few dozen
-//     instructions, and with N dispatchers the lock also serializes the
-//     heap's issue order.
+// Server::submit pushes an admitted request straight into its class's heap;
+// dispatchers pop the earliest deadline.  Within a class, requests issue to
+// the runtime in deadline order (not arrival order), throttled by the
+// class's dispatch window, so under backlog the p99 the QosController
+// regulates reflects urgency.  Spinlocked: push/pop are a few dozen
+// instructions, and with N dispatchers the lock also serializes the heap's
+// issue order.  The *bound* is not here — admission control counts
+// in-flight requests (heaped + executing) per class and per tenant, not
+// heap depth, so back-pressure survives the hand-off into the scheduler;
+// see Server::submit.
 #pragma once
 
 #include <atomic>
@@ -27,49 +22,12 @@
 
 namespace sigrt::serve {
 
-class RequestQueue {
- public:
-  RequestQueue() = default;
-  RequestQueue(const RequestQueue&) = delete;
-  RequestQueue& operator=(const RequestQueue&) = delete;
-
-  /// Any thread.  One CAS; the release pairs with pop_all_fifo's acquire so
-  /// the consumer sees the fully built Request.
-  SIGRT_HOT_PATH void push(Request* r) noexcept {
-    Request* head = head_.load(std::memory_order_relaxed);
-    do {
-      r->next = head;
-    } while (!head_.compare_exchange_weak(head, r, std::memory_order_release,
-                                          std::memory_order_relaxed));
-  }
-
-  /// Consumer only.  Takes the whole chain and reverses it so requests come
-  /// back in submission order.  Returns nullptr when empty.
-  [[nodiscard]] SIGRT_HOT_PATH Request* pop_all_fifo() noexcept {
-    Request* chain = head_.exchange(nullptr, std::memory_order_acquire);
-    Request* fifo = nullptr;
-    while (chain != nullptr) {
-      Request* next = chain->next;
-      chain->next = fifo;
-      fifo = chain;
-      chain = next;
-    }
-    return fifo;
-  }
-
-  [[nodiscard]] bool empty() const noexcept {
-    return head_.load(std::memory_order_acquire) == nullptr;
-  }
-
- private:
-  std::atomic<Request*> head_{nullptr};
-};
-
 /// Min-heap on Request::deadline_ns.  The backing vector grows to the
 /// high-water mark once and is then reused — steady-state traffic touches
 /// no allocator here.  size() is readable lock-free (a relaxed mirror of
 /// the heap size) so dispatch-eligibility scans and completion-side wake
-/// checks never take the lock.
+/// checks never take the lock; the seq_cst fences of the dispatcher park
+/// (Server::dispatcher_loop) order it against the parked flags.
 class EdfQueue {
  public:
   EdfQueue() = default;

@@ -10,7 +10,7 @@
 //   violation  (p99 > deadline, or backlog above the high watermark):
 //       ratio <- max(floor, ratio * decrease_factor)        (rung 1)
 //       once the ratio sits at the quality floor:
-//       perforation <- min(max_perforation, perforation + perforate_step)
+//       perforation <- min(kMaxPerforation, perforation + kPerforateStep)
 //                                                           (rung 2)
 //   compliant  (backlog at/below the low watermark and p99 under
 //               target_fraction * deadline):
@@ -34,21 +34,13 @@ namespace sigrt::serve {
 struct QosOptions {
   double deadline_ns = 50e6;     ///< the class latency objective (p99)
   double quality_floor = 0.0;    ///< ratio() is never driven below this
-  double initial_ratio = 1.0;
 
   double increase_step = 0.05;   ///< additive recovery toward ratio 1.0
   double decrease_factor = 0.7;  ///< multiplicative backoff on violation
   double target_fraction = 0.5;  ///< recover only when p99 < fraction * deadline
 
-  /// Windows with fewer completions cannot signal a latency violation (one
-  /// slow straggler at low rate must not collapse the ratio).
-  std::uint64_t min_samples = 8;
-
   std::size_t backlog_high = 256;  ///< in-flight above this is a violation
   std::size_t backlog_low = 32;    ///< recovery requires in-flight <= this
-
-  double perforate_step = 0.15;
-  double max_perforation = 0.9;
 };
 
 /// One epoch's worth of telemetry for a class.
@@ -65,12 +57,19 @@ struct QosDecision {
 
 class QosController {
  public:
-  explicit QosController(QosOptions options) noexcept
-      : options_(options),
-        ratio_(std::clamp(options.initial_ratio, options.quality_floor, 1.0)) {}
+  /// A class starts at full quality.
+  static constexpr double kInitialRatio = 1.0;
+  /// Windows with fewer completions cannot signal a latency violation (one
+  /// slow straggler at low rate must not collapse the ratio).
+  static constexpr std::uint64_t kMinSamples = 8;
+  /// Rung-2 perforation step per violating (or calm) epoch, and its cap.
+  static constexpr double kPerforateStep = 0.15;
+  static constexpr double kMaxPerforation = 0.9;
+
+  explicit QosController(QosOptions options) noexcept : options_(options) {}
 
   QosDecision update(const QosObservation& obs) noexcept {
-    const bool latency_bad = obs.completed >= options_.min_samples &&
+    const bool latency_bad = obs.completed >= kMinSamples &&
                              obs.p99_ns > options_.deadline_ns;
     const bool backlog_bad = obs.in_flight > options_.backlog_high;
     const bool calm =
@@ -89,13 +88,12 @@ class QosController {
           ratio_ = options_.quality_floor;
         }
       } else {
-        perforation_ = std::min(options_.max_perforation,
-                                perforation_ + options_.perforate_step);
+        perforation_ = std::min(kMaxPerforation, perforation_ + kPerforateStep);
       }
     } else if (calm) {
       // Climb the ladder back down in reverse order.
       if (perforation_ > 0.0) {
-        perforation_ = std::max(0.0, perforation_ - options_.perforate_step);
+        perforation_ = std::max(0.0, perforation_ - kPerforateStep);
       } else {
         ratio_ = std::min(1.0, ratio_ + options_.increase_step);
       }
@@ -110,7 +108,7 @@ class QosController {
 
  private:
   QosOptions options_;
-  double ratio_;
+  double ratio_ = kInitialRatio;
   double perforation_ = 0.0;
   std::uint64_t violations_ = 0;
 };

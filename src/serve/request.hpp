@@ -14,6 +14,13 @@
 // Server::submit), and a *deadline*: within a class the dispatcher issues
 // admitted requests in earliest-deadline-first order, so the p99 the
 // QosController regulates reflects urgency, not arrival order.
+//
+// Accounting: every submission is either refused at admission (`shed`) or
+// admitted (`submitted`), and every admitted request resolves exactly once
+// into one of served_accurate / served_approximate / served_dropped /
+// perforated / expired, so per (tenant, class) cell
+//   attempts  == submitted + shed
+//   submitted == served() + perforated + expired   (once in_flight == 0)
 #pragma once
 
 #include <atomic>
@@ -75,14 +82,6 @@ struct RequestClassConfig {
   /// 0 disables the watermark.
   std::size_t degrade_in_flight = 0;
 
-  /// Declare that this class's bodies may block on external I/O (backend
-  /// calls, disk).  The server then opens a Runtime BlockingSection around
-  /// each body: the worker slot is handed to a spare thread for the
-  /// blocking span, so one stalled request no longer idles a core.  Leave
-  /// false for pure-compute classes — the handoff costs a mutex hop per
-  /// request.
-  bool may_block = false;
-
   /// Shed admitted requests at EDF pop time when their absolute deadline
   /// has already passed (the answer would be useless to the client): the
   /// request is never spawned, `on_expire` — falling back to `on_drop` —
@@ -119,10 +118,11 @@ struct TenantConfig {
   std::size_t fair_in_flight = 0;
 };
 
-/// One unit of client work.  Exactly one of the two bodies runs per request
-/// — unless the request is dropped without running any body (dispatcher
-/// perforation, or shutdown racing the submit), in which case `on_drop`
-/// fires instead.
+/// One unit of client work.  At most one of the two bodies runs per
+/// request, and every admitted request resolves exactly once (see
+/// Server::resolve).  A request resolved without its body answering —
+/// perforation, deadline expiry, a watchdog timeout, a submit racing
+/// shutdown — fires `on_drop` or its more specific stand-in instead.
 struct Job {
   std::function<void()> accurate;     ///< required: full-quality response
   std::function<void()> approximate;  ///< optional: degraded response
@@ -132,10 +132,12 @@ struct Job {
   /// requests are degradable out of the box.
   double significance = 0.5;
 
-  /// Fires (on the dispatcher thread — keep it cheap and non-blocking) when
-  /// an *admitted* request is dropped without a body running: perforation
-  /// rung 2, or a shutdown shed.  Network frontends use it to answer the
-  /// client instead of leaving the connection hanging.  Optional.
+  /// Fires (on a dispatcher thread, or on the submitting thread for a
+  /// shutdown drop — keep it cheap and non-blocking) when an *admitted*
+  /// request is dropped without a body running: perforation rung 2, or a
+  /// submit that raced drain()'s intake flip (a shutdown drop).  Network
+  /// frontends use it to answer the client instead of leaving the
+  /// connection hanging.  Optional.
   std::function<void()> on_drop;
 
   /// Fires (on a dispatcher thread) when the request is shed at EDF pop
@@ -161,7 +163,7 @@ struct Job {
 enum class Admission : std::uint8_t {
   Admitted,  ///< queued for full-quality service
   Degraded,  ///< queued, but will be served through the approximate body
-  Shed,      ///< rejected: a quota was exceeded (or the server closed)
+  Shed,      ///< refused at admission: a quota was exceeded, or closed
 };
 
 [[nodiscard]] constexpr const char* to_string(Admission a) noexcept {
@@ -173,9 +175,9 @@ enum class Admission : std::uint8_t {
   return "?";
 }
 
-/// Internal queue node: one submitted request in flight between admission
-/// and completion.  Owned by whoever holds the raw pointer; linked through
-/// `next` while inside the MPSC staging queue or the server's free pool.
+/// Internal node: one admitted request in flight between admission and
+/// its exit (Server::resolve).  Sits in its class's EDF heap until issued;
+/// linked through `next` only while in the server's free pool.
 struct Request {
   Job job;
   ClassId cls = 0;
@@ -255,7 +257,7 @@ class RequestPool {
   }
 
   /// Nodes acquired and not yet released.  The serve tier's in_flight
-  /// counters hit zero at complete(); the final ownership drop happens
+  /// counters hit zero in Server::resolve; the final ownership drop happens
   /// later, at task-slab retirement on a worker thread (see BodyRef in
   /// Server::dispatch), so shutdown must wait on THIS count before the
   /// pool can be torn down.
@@ -289,7 +291,9 @@ struct ClassReport {
   std::uint64_t timed_out = 0;
   std::uint64_t served_accurate = 0;
   std::uint64_t served_approximate = 0;
-  std::uint64_t served_dropped = 0;  ///< degraded with no approximate body
+  /// Drop-style degraded requests, bodies that threw, watchdog timeouts
+  /// and shutdown drops (submits that raced drain()'s intake flip).
+  std::uint64_t served_dropped = 0;
   std::size_t in_flight = 0;
 
   double p50_ms = 0.0;

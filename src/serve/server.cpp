@@ -48,30 +48,25 @@ unsigned dispatcher_count(const ServerOptions& options) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      runtime_(std::make_unique<Runtime>(serving_config(options_.runtime))) {
+      runtime_(std::make_unique<Runtime>(serving_config(options_.runtime))),
+      parkers_(dispatcher_count(options_)) {
   for (auto& slot : classes_) slot.store(nullptr, std::memory_order_relaxed);
   for (auto& slot : tenants_) slot.store(nullptr, std::memory_order_relaxed);
   // Tenant 0 pre-exists with unbounded quotas, so tenant-oblivious callers
   // (and every pre-tenant test) see exactly the per-class semantics.
   register_tenant(TenantConfig{.name = "default"});
-  const unsigned dispatchers = dispatcher_count(options_);
   // Any failure past the first thread must stop and join what already
   // started — destroying a joinable std::thread terminates.
   try {
-    dispatchers_.reserve(dispatchers);
-    for (unsigned i = 0; i < dispatchers; ++i) {
+    dispatchers_.reserve(parkers_.size());
+    for (unsigned i = 0; i < parkers_.size(); ++i) {
       dispatchers_.emplace_back([this, i] { dispatcher_loop(i); });
     }
     if (options_.epoch_ms > 0.0) {
       controller_ = std::thread([this] { controller_loop(); });
     }
   } catch (...) {
-    running_.store(false, std::memory_order_release);
-    {
-      support::MutexLock lock(wake_mutex_);
-      wake_cv_.notify_all();
-    }
-    for (auto& d : dispatchers_) d.join();
+    stop_dispatchers();
     throw;
   }
 }
@@ -90,7 +85,7 @@ ClassId Server::register_class(RequestClassConfig config) {
   auto state = std::make_unique<ClassState>(std::move(config),
                                             runtime_->config().workers + 1);
   state->group = runtime_->create_group("serve/" + state->cfg.name,
-                                        state->cfg.qos.initial_ratio);
+                                        QosController::kInitialRatio);
   ClassState* ptr = state.get();
   owned_classes_.push_back(std::move(state));
   classes_[id].store(ptr, std::memory_order_release);
@@ -175,9 +170,11 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   }
 
   // Class-level bound on *in-flight* requests (queued + executing), so the
-  // back-pressure survives the hand-off into the scheduler.
+  // back-pressure survives the hand-off into the scheduler.  seq_cst: the
+  // reservation is this submit's half of the intake handshake with drain()
+  // (see the re-check below).
   const std::size_t depth =
-      s.in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
+      s.in_flight.fetch_add(1, std::memory_order_seq_cst) + 1;
   if (depth > s.cfg.max_in_flight) {
     s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
     t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
@@ -211,55 +208,54 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   cell.in_flight.fetch_add(1, std::memory_order_relaxed);
   cell.submitted.fetch_add(1, std::memory_order_relaxed);
   if (degraded) cell.degraded.fetch_add(1, std::memory_order_relaxed);
-  queue_.push(r);
+  const Admission verdict = degraded ? Admission::Degraded : Admission::Admitted;
+  // A submit that passed the intake check just before drain() flipped it
+  // is admitted, but must not reach a heap the dispatchers may have left.
+  // Dekker with drain(): its seq_cst flip precedes its seq_cst in_flight
+  // reads, the class reservation above precedes this seq_cst load, so
+  // either drain() sees the reservation and waits for the request to be
+  // served, or this sees the flip and resolves it as a shutdown drop.
+  if (!accepting_.load(std::memory_order_seq_cst)) {
+    resolve(r, Exit::Shutdown);
+    return verdict;
+  }
+  s.edf.push(r);
+  // Publisher half of the dispatcher park (see dispatcher_loop): either a
+  // parking dispatcher's re-check sees this push, or the parked flag read
+  // in wake_dispatcher sees the dispatcher.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   wake_dispatcher();
-  return degraded ? Admission::Degraded : Admission::Admitted;
+  return verdict;
 }
 
 void Server::wake_dispatcher() noexcept {
-  // Guarded wake (the eventcount idiom): under load no dispatcher is ever
-  // idle, so the common case is one acquire load, not a lock + notify on
-  // every submit.  While dispatchers ARE parked, the wake_pending_ token
-  // lets exactly one producer of a burst pay the lock+notify and the rest
-  // skip — without it every submit in the park window serializes on
-  // wake_mutex_.  None of this is a seq_cst Dekker handshake; a missed
-  // wake only costs the park's 1 ms timeout, never a hang.
-  if (idle_dispatchers_.load(std::memory_order_acquire) == 0) return;
-  if (wake_pending_.exchange(true, std::memory_order_seq_cst)) return;
-  {
-    support::MutexLock lock(wake_mutex_);
-    wake_cv_.notify_one();
+  // Callers publish (heap push, in_runtime release) and fence first.  Under
+  // load no dispatcher is parked, so the common case is one load per
+  // dispatcher and no RMW; one woken dispatcher drains every heap.
+  for (Parker& p : parkers_) {
+    if (p.parked() && p.unpark()) return;
   }
-  wake_pending_.store(false, std::memory_order_release);
 }
 
-std::size_t Server::drain_staging() {
-  std::size_t moved = 0;
-  // pop_all_fifo is a single exchange, so N dispatchers draining the same
-  // queue each take a disjoint batch; the per-class heap then restores a
-  // global order (EDF) regardless of which dispatcher carried the request.
-  while (Request* head = queue_.pop_all_fifo()) {
-    while (head != nullptr) {
-      Request* next = head->next;
-      class_ref(head->cls).edf.push(head);
-      ++moved;
-      head = next;
-    }
+void Server::stop_dispatchers() {
+  running_.store(false, std::memory_order_release);
+  // Shutdown wake: a dispatcher whose park re-check missed the flag is
+  // seen parked here (the fence pairs with the one in prepare_park).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (Parker& p : parkers_) p.unpark();
+  for (auto& d : dispatchers_) {
+    if (d.joinable()) d.join();
   }
-  return moved;
 }
 
-std::size_t Server::issue_edf(double* rotor, bool bounded) {
+std::size_t Server::issue_edf(double* rotor) {
   const std::uint32_t n = class_count_.load(std::memory_order_acquire);
   const std::size_t window = window_for();
   std::size_t issued = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     ClassState& s = *classes_[i].load(std::memory_order_acquire);
     while (s.edf.size() > 0) {
-      if (bounded &&
-          s.in_runtime.load(std::memory_order_relaxed) >= window) {
-        break;
-      }
+      if (s.in_runtime.load(std::memory_order_relaxed) >= window) break;
       Request* r = s.edf.try_pop();
       if (r == nullptr) break;  // another dispatcher won the race
       // Lazy deadline-expiry shed: a request whose deadline already passed
@@ -268,9 +264,7 @@ std::size_t Server::issue_edf(double* rotor, bool bounded) {
       // Checked at pop (EDF order means everything deeper is no older), so
       // an idle server pays nothing for it.
       if (s.cfg.shed_expired && r->deadline_ns < support::now_ns()) {
-        tenant_ref(r->tenant).cells[r->cls].expired.fetch_add(
-            1, std::memory_order_relaxed);
-        expire_admitted(r);
+        resolve(r, Exit::Expired);
         ++issued;
         continue;
       }
@@ -295,91 +289,29 @@ bool Server::has_issuable() const noexcept {
 }
 
 void Server::dispatcher_loop(unsigned index) {
-  using namespace std::chrono_literals;
   if (options_.thread_start_hook) options_.thread_start_hook("dispatcher", index);
+  Parker& parker = parkers_[index];
   // Per-dispatcher perforation rotors: each dispatcher enforces the drop
   // fraction over its own issue stream, so N dispatchers never race on an
   // accumulator (the aggregate drop rate converges to the same level).
   std::vector<double> rotor(kMaxClasses, 0.0);
-  while (true) {
-    const std::size_t moved = drain_staging();
-    const std::size_t issued = issue_edf(rotor.data(), /*bounded=*/true);
-    if (moved + issued != 0) continue;
-
-    if (!running_.load(std::memory_order_acquire)) break;
-    // Two-phase park: announce idle, re-check, then wait with a timeout
-    // backstop (the count+notify pair handles the common case; the timeout
-    // makes a lost wakeup cost 1 ms, never a hang).  Completions re-open
-    // dispatch windows, so they wake us too (see complete()).
-    idle_dispatchers_.fetch_add(1, std::memory_order_seq_cst);
-    if (!queue_.empty() || has_issuable() ||
-        !running_.load(std::memory_order_acquire)) {
-      idle_dispatchers_.fetch_sub(1, std::memory_order_relaxed);
+  while (running_.load(std::memory_order_acquire)) {
+    if (issue_edf(rotor.data()) != 0) continue;
+    // Untimed two-phase park (parker.hpp).  Everything that can make a
+    // request issuable — the heap push in submit, the in_runtime release in
+    // resolve, running_ = false in stop_dispatchers — is followed by a
+    // seq_cst fence and a read of the parked flags, so either this re-check
+    // sees the change or the writer sees us parked and wakes us.
+    parker.prepare_park();
+    if (has_issuable() || !running_.load(std::memory_order_acquire)) {
+      parker.cancel_park();
       continue;
     }
-    {
-      support::MutexLock lock(wake_mutex_);
-      wake_cv_.wait_for(lock.native(), 1ms, [this] {
-        return !queue_.empty() || has_issuable() ||
-               !running_.load(std::memory_order_acquire);
-      });
-    }
-    idle_dispatchers_.fetch_sub(1, std::memory_order_relaxed);
+    parker.park();
   }
-
-  // Graceful drain: issue everything admitted before the stop — ignoring
-  // dispatch windows, there is nothing left to reorder against — then let
-  // the runtime finish it.  Every dispatcher drains (staging batches and
-  // heap pops both hand out disjoint requests) and every dispatcher
-  // barriers, so close() joining any of them implies the admitted work is
-  // done.  Task-body exceptions are the application's concern (request
-  // bodies are expected to capture their own failures); swallow rather
-  // than tear down the process from a detached context.
-  for (;;) {
-    const std::size_t moved = drain_staging();
-    const std::size_t issued = issue_edf(rotor.data(), /*bounded=*/false);
-    if (moved + issued == 0) break;
-  }
-  try {
-    runtime_->wait_all();
-  } catch (...) {
-  }
-}
-
-void Server::drop_admitted(Request* r) {
-  ClassState& s = class_ref(r->cls);
-  TenantState& t = tenant_ref(r->tenant);
-  Cell& cell = t.cells[r->cls];
-  if (r->job.on_drop) {
-    try {
-      r->job.on_drop();
-    } catch (...) {
-    }
-  }
-  cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
-  t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  request_unref(r, 1);
-}
-
-void Server::expire_admitted(Request* r) {
-  ClassState& s = class_ref(r->cls);
-  TenantState& t = tenant_ref(r->tenant);
-  Cell& cell = t.cells[r->cls];
-  // Expiry is still a drop from the client's perspective, but the frontend
-  // may want to answer with a distinct status — on_expire when provided,
-  // the plain drop callback otherwise.
-  const auto& cb = r->job.on_expire ? r->job.on_expire : r->job.on_drop;
-  if (cb) {
-    try {
-      cb();
-    } catch (...) {
-    }
-  }
-  cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
-  t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  request_unref(r, 1);
+  // No backlog to drain here: drain() stops the dispatchers only once every
+  // admitted request has resolved, and no submit can push after that (see
+  // the intake handshake in submit).
 }
 
 void Server::request_unref(Request* r, int n) {
@@ -452,31 +384,7 @@ void Server::watchdog_sweep() {
       Request* r = overdue;
       overdue = r->wd_next;
       r->wd_next = nullptr;
-      // Race with a completing body: whoever flips `resolved` does the
-      // accounting.  Losing here means the body finished between the
-      // collection above and now — nothing to do but drop our ref.
-      if (!r->resolved.exchange(true, std::memory_order_acq_rel)) {
-        TenantState& t = tenant_ref(r->tenant);
-        Cell& cell = t.cells[r->cls];
-        cell.timed_out.fetch_add(1, std::memory_order_relaxed);
-        // A timeout is served as a drop (conservation: every admitted
-        // request lands in exactly one served_* bucket); no latency sample
-        // — the stuck body's eventual finish time is not a service time.
-        cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
-        const auto& cb = r->job.on_timeout ? r->job.on_timeout : r->job.on_drop;
-        if (cb) {
-          try {
-            cb();
-          } catch (...) {
-          }
-        }
-        s.in_runtime.fetch_sub(1, std::memory_order_relaxed);
-        cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        if (s.edf.size() > 0) wake_dispatcher();
-      }
-      request_unref(r, 1);
+      resolve(r, Exit::TimedOut);
     }
   }
 }
@@ -486,15 +394,11 @@ void Server::dispatch(Request* r, double* rotor) {
 
   // Rung 2 of the ladder: drop a deterministic fraction of admitted
   // requests outright.  The rotor is dispatcher-local; the level is set by
-  // the controller thread.  Perforated requests complete for accounting but
-  // record no latency — their ~0 queue time would mask the overload the
-  // controller is reacting to.
+  // the controller thread.
   rotor[r->cls] += s.perforation.load(std::memory_order_relaxed);
   if (rotor[r->cls] >= 1.0) {
     rotor[r->cls] -= 1.0;
-    tenant_ref(r->tenant).cells[r->cls].perforated.fetch_add(
-        1, std::memory_order_relaxed);
-    drop_admitted(r);
+    resolve(r, Exit::Perforated);
     return;
   }
 
@@ -510,14 +414,9 @@ void Server::dispatch(Request* r, double* rotor) {
     watchdog_link(s, r);
   }
 
-  // may_block classes hand the worker slot to a spare for the body's
-  // duration (Runtime::BlockingSection) so a body stalled on external I/O
-  // does not idle a core; the thread re-pools when the body unwinds.
-  const bool may_block = s.cfg.may_block;
-
   // The body's ownership reference rides inside the callables, not inside
-  // complete(): an injected crash (or a runtime-side drop) can unwind the
-  // task before either lambda runs, so complete() is not guaranteed to
+  // run_body(): an injected crash (or a runtime-side drop) can unwind the
+  // task before either lambda runs, so run_body() is not guaranteed to
   // execute.  The slab slot destroys its callables on retirement on every
   // path — normal completion, body exception, crash upstream of the
   // wrapper — which makes a by-value RAII capture the one release point
@@ -541,25 +440,7 @@ void Server::dispatch(Request* r, double* rotor) {
   };
   BodyRef body_ref(this, r);  // adopts the admission reference
 
-  // A throwing body resolves as a drop rather than stranding its in-flight
-  // slot (which would hang drain/close and leak the node) or tearing down
-  // the worker.  Serve-tier bodies are expected to capture their own
-  // failures; this is the backstop.
-  auto approx_body = [this, r, may_block, body_ref] {
-    if (may_block) (void)runtime_->begin_blocking();
-    if (r->job.approximate) {
-      try {
-        r->job.approximate();
-      } catch (...) {
-        complete(r, Outcome::Dropped);
-        return;
-      }
-      complete(r, Outcome::Approximate);
-    } else {
-      complete(r, Outcome::Dropped);  // drop-style class: empty response
-    }
-  };
-
+  auto approx_body = [this, r, body_ref] { run_body(r, /*accurate=*/false); };
   if (r->degraded) {
     // Degraded admission: both bodies are the cheap path, so the request is
     // served cheaply whatever the classifier decides.
@@ -568,60 +449,113 @@ void Server::dispatch(Request* r, double* rotor) {
                         .significance(0.0)
                         .group(s.group));
   } else {
-    runtime_->spawn(task([this, r, may_block, body_ref] {
-                      if (may_block) (void)runtime_->begin_blocking();
-                      try {
-                        r->job.accurate();
-                      } catch (...) {
-                        complete(r, Outcome::Dropped);
-                        return;
-                      }
-                      complete(r, Outcome::Accurate);
-                    })
-                        .approx(approx_body)
-                        .significance(r->job.significance)
-                        .group(s.group));
+    runtime_->spawn(
+        task([this, r, body_ref] { run_body(r, /*accurate=*/true); })
+            .approx(approx_body)
+            .significance(r->job.significance)
+            .group(s.group));
   }
 }
 
-void Server::complete(Request* r, Outcome outcome) {
+void Server::run_body(Request* r, bool accurate) {
+  const std::function<void()>& body =
+      accurate ? r->job.accurate : r->job.approximate;
+  // A drop-style class (no approximate body) answers empty.  A throwing
+  // body resolves as a drop rather than stranding its in-flight slot
+  // (which would hang drain/close and leak the node) or tearing down the
+  // worker; serve-tier bodies are expected to capture their own failures,
+  // this is the backstop.
+  Exit how = Exit::Dropped;
+  if (body) {
+    try {
+      body();
+      how = accurate ? Exit::Accurate : Exit::Approximate;
+    } catch (...) {
+    }
+  }
+  resolve(r, how);
+}
+
+void Server::resolve(Request* r, Exit how) {
   ClassState& s = class_ref(r->cls);
-  // Leave the watchdog registry before resolving: once unlinked the sweep
-  // can never collect us.  was_linked tells us whether the watchdog's
-  // ownership ref is still ours to drop (the sweep drops its own).
-  const bool was_linked = watchdog_unlink(s, r);
+  const bool issued = how <= Exit::TimedOut;
+  // The ownership reference this exit drops, if any.  A request that never
+  // reached the runtime still carries its admission reference (issue moves
+  // it into the task's callables, see BodyRef).  The watchdog's reference
+  // goes with whoever unlinks the registry entry: the sweep, before it
+  // calls here, or a body, here — before resolving, so the sweep can no
+  // longer collect it.  The body's own reference drops at slab retirement.
+  const bool drop_ref =
+      !issued || how == Exit::TimedOut || watchdog_unlink(s, r);
+  // Exactly once: a body that finishes after the watchdog resolved it (or
+  // the sweep, when the body won) loses here and leaves the accounting to
+  // the winner.
   if (!r->resolved.exchange(true, std::memory_order_acq_rel)) {
     TenantState& t = tenant_ref(r->tenant);
     Cell& cell = t.cells[r->cls];
-    const std::int64_t latency = support::now_ns() - r->arrival_ns;
-    s.latency.record(latency > 0 ? static_cast<std::uint64_t>(latency) : 0);
-    switch (outcome) {
-      case Outcome::Accurate:
+    // Every admitted request lands in exactly one of served_*, perforated
+    // and expired.  Only exits that never ran a body fire a callback, so
+    // the client still gets an answer.
+    const std::function<void()>* callback = nullptr;
+    switch (how) {
+      case Exit::Accurate:
         cell.served_accurate.fetch_add(1, std::memory_order_relaxed);
         break;
-      case Outcome::Approximate:
+      case Exit::Approximate:
         cell.served_approximate.fetch_add(1, std::memory_order_relaxed);
         break;
-      case Outcome::Dropped:
+      case Exit::Dropped:
         cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
         break;
+      case Exit::TimedOut:
+        cell.timed_out.fetch_add(1, std::memory_order_relaxed);
+        cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
+        callback = &r->job.on_timeout;
+        break;
+      case Exit::Perforated:
+        cell.perforated.fetch_add(1, std::memory_order_relaxed);
+        callback = &r->job.on_drop;
+        break;
+      case Exit::Expired:
+        cell.expired.fetch_add(1, std::memory_order_relaxed);
+        callback = &r->job.on_expire;
+        break;
+      case Exit::Shutdown:
+        cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
+        callback = &r->job.on_drop;
+        break;
     }
-    s.in_runtime.fetch_sub(1, std::memory_order_relaxed);
+    if (how <= Exit::Dropped) {
+      // A body finished: its latency is a service time.  Timeouts record
+      // none (the stuck body's eventual finish is not one), and neither do
+      // perforated requests — their ~0 queue time would mask the overload
+      // the controller is reacting to.
+      const std::int64_t latency = support::now_ns() - r->arrival_ns;
+      s.latency.record(latency > 0 ? static_cast<std::uint64_t>(latency) : 0);
+    }
+    if (callback != nullptr) {
+      const auto& cb = *callback ? *callback : r->job.on_drop;
+      if (cb) {
+        try {
+          cb();
+        } catch (...) {
+        }
+      }
+    }
+    if (issued) s.in_runtime.fetch_sub(1, std::memory_order_relaxed);
     cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
     t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
     s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    // The freed window slot may unblock this class's EDF backlog; the
-    // guarded wake is one relaxed load when no dispatcher is parked.
-    if (s.edf.size() > 0) wake_dispatcher();
+    if (issued) {
+      // The freed window slot may unblock this class's EDF backlog.  The
+      // fence is the completer's half of the dispatcher park: either the
+      // parking dispatcher's re-check sees the release, or this sees it
+      // parked.
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (s.edf.size() > 0) wake_dispatcher();
+    }
   }
-  // else: the watchdog sweep already resolved this request as timed-out
-  // while the body was still running; the accounting is done.
-  //
-  // Only the watchdog's reference is dropped here (and only when the sweep
-  // has not already dropped its own).  The body's reference lives in the
-  // task's callables (see BodyRef in dispatch) and drops at slab
-  // retirement, which covers bodies that never ran at all.
-  if (was_linked) request_unref(r, 1);
+  if (drop_ref) request_unref(r, 1);
 }
 
 void Server::controller_loop() {
@@ -676,28 +610,34 @@ void Server::drain() {
     drained_ = true;
   }
   // Phase 1: quiesce admission.  Every subsequent submit sheds at the top;
-  // only racers already past the accepting_ check can still enqueue.
-  accepting_.store(false, std::memory_order_release);
+  // a racer already past that check either shows up in the in_flight
+  // reads below or resolves itself as a shutdown drop (the handshake in
+  // submit needs this store and those reads seq_cst).
+  accepting_.store(false, std::memory_order_seq_cst);
 
   // Phase 2: serve the backlog.  Dispatchers and the controller are still
   // running, so the EDF heaps drain in deadline order, perforation and
   // expiry still apply, and the watchdog still resolves stuck requests —
   // nothing admitted is shed by the drain itself.  in_flight covers the
-  // whole pipeline (staged + heaped + in-runtime), so zero across every
-  // class means the pipeline is empty.
+  // whole pipeline (heaped + in-runtime), so zero across every class means
+  // the pipeline is empty.
   const std::uint32_t n = class_count_.load(std::memory_order_acquire);
   for (;;) {
-    bool quiescent = queue_.empty();
+    bool quiescent = true;
     for (std::uint32_t i = 0; i < n && quiescent; ++i) {
       quiescent = classes_[i].load(std::memory_order_acquire)
-                      ->in_flight.load(std::memory_order_acquire) == 0;
+                      ->in_flight.load(std::memory_order_seq_cst) == 0;
     }
     if (quiescent) break;
     wake_dispatcher();
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 
-  // Phase 3: stop the service threads.
+  // Phase 3: stop the service threads, then let the runtime finish any
+  // body the watchdog already resolved while it still ran.  Task-body
+  // exceptions are the application's concern (request bodies are expected
+  // to capture their own failures); swallow rather than throw from a
+  // shutdown path.
   if (controller_.joinable()) {
     {
       support::MutexLock lock(controller_mutex_);
@@ -706,15 +646,10 @@ void Server::drain() {
     controller_cv_.notify_one();
     controller_.join();
   }
-
-  running_.store(false, std::memory_order_release);
-  {
-    // Shutdown wake: every parked dispatcher must observe the flag.
-    support::MutexLock lock(wake_mutex_);
-    wake_cv_.notify_all();
-  }
-  for (auto& d : dispatchers_) {
-    if (d.joinable()) d.join();
+  stop_dispatchers();
+  try {
+    runtime_->wait_all();
+  } catch (...) {
   }
 }
 
@@ -726,39 +661,12 @@ void Server::close() {
   }
   drain();
 
-  // Shed anything that raced the intake flip.  A racer that passed the
-  // accepting_ check holds its reservations from before its push, and
-  // everything the dispatchers admitted has completed (wait_all above), so
-  // nonzero in_flight now means exactly "a submit is between its
-  // reservation and its push" — a few instructions away.  Loop until every
-  // reservation is either pushed-and-shed here or released by the racer's
-  // own over-capacity path, so no Request leaks and no slot stays stranded.
-  // on_drop still fires for these (the network frontend answers the client
-  // with a shed status instead of hanging the connection).
-  const std::uint32_t n = class_count_.load(std::memory_order_acquire);
-  for (;;) {
-    while (Request* head = queue_.pop_all_fifo()) {
-      while (head != nullptr) {
-        Request* next = head->next;
-        tenant_ref(head->tenant)
-            .cells[head->cls]
-            .shed.fetch_add(1, std::memory_order_relaxed);
-        drop_admitted(head);
-        head = next;
-      }
-    }
-    bool quiescent = true;
-    for (std::uint32_t i = 0; i < n && quiescent; ++i) {
-      quiescent = classes_[i].load(std::memory_order_acquire)
-                      ->in_flight.load(std::memory_order_acquire) == 0;
-    }
-    // in_flight hits zero at complete(), but the last ownership reference
-    // drops at task-slab retirement on a worker thread (BodyRef); wait for
-    // every node to be back in the pool so destruction cannot race a
-    // retiring task, and so callers observe the full shutdown contract
-    // (every Job destroyed, every on_timeout guard dropped).
-    quiescent = quiescent && pool_.outstanding() == 0;
-    if (quiescent) break;
+  // in_flight hits zero in resolve(), but the last ownership reference
+  // drops at task-slab retirement on a worker thread (BodyRef); wait for
+  // every node to be back in the pool so destruction cannot race a
+  // retiring task, and so callers observe the full shutdown contract
+  // (every Job destroyed, every on_timeout guard dropped).
+  while (pool_.outstanding() != 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }

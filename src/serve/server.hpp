@@ -17,25 +17,31 @@
 //   * admission (client threads): per-tenant x per-class in-flight
 //     accounting with a shed-or-degrade policy — a tenant over its fairness
 //     watermark sheds its own BestEffort and degrades its own Degradable
-//     traffic before any other tenant's Critical class feels load — then
-//     one CAS into the MPSC staging queue;
-//   * dispatchers (N threads, ServerOptions::dispatcher_threads): drain the
-//     staging queue into per-class EDF heaps and issue, earliest deadline
-//     first, up to each class's dispatch window of in-runtime requests;
-//     issued requests pass the controller's perforation rotor and are
-//     spawned as one significance-carrying task each into the class's
-//     group.  Spawning is safe from any thread (the runtime's any-thread
-//     contract), so the dispatcher tier shards horizontally; the per-class
-//     heap lock keeps EDF order global across dispatchers;
+//     traffic before any other tenant's Critical class feels load — then a
+//     push into the class's spinlocked EDF heap, the only queue stage;
+//   * dispatchers (N threads, ServerOptions::dispatcher_threads): issue
+//     from the per-class EDF heaps, earliest deadline first, up to each
+//     class's dispatch window of in-runtime requests; issued requests pass
+//     the controller's perforation rotor and are spawned as one
+//     significance-carrying task each into the class's group.  Spawning is
+//     safe from any thread (the runtime's any-thread contract), so the
+//     dispatcher tier shards horizontally; the per-class heap lock keeps
+//     EDF order global across dispatchers.  An idle dispatcher parks on
+//     its own Parker with no timeout (see dispatcher_loop);
 //   * QoS controller (one thread): every epoch, diffs each class's sharded
 //     latency histogram into a window, computes p99 + in-flight depth, and
 //     retargets the group's ratio() through Runtime::set_ratio — the
 //     any-thread relaxed-atomic contract documented in architecture.md.
 //
+// Every way an admitted request leaves — a body returned or threw, the
+// watchdog, perforation, EDF expiry, a submit that raced shutdown — runs
+// one function, resolve(), which keeps the counters, fires the callback
+// and releases the reservations (docs/serving.md has the exit table).
+//
 // Threading contract: register_class/register_tenant/submit/stats/
 // class_report are safe from any thread; submit must not race
 // close()/destruction (quiesce your producers first — late racers are
-// shed, never leaked; their on_drop still fires).
+// resolved as shutdown drops, never leaked; their on_drop still fires).
 #pragma once
 
 #include <array>
@@ -46,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/parker.hpp"
 #include "core/runtime.hpp"
 #include "serve/admission.hpp"
 #include "serve/qos_controller.hpp"
@@ -69,7 +76,7 @@ struct ServerOptions {
   /// deterministic admission tests and by callers driving ratios manually).
   double epoch_ms = 10.0;
 
-  /// Dispatcher (spawner) threads draining the admission queue; clamped to
+  /// Dispatcher (spawner) threads issuing from the EDF heaps; clamped to
   /// exactly 1 when the runtime is inline (workers == 0, whose synchronous
   /// queue admits a single client thread).  0 = auto: one dispatcher per
   /// last-level-cache group, bounded by workers/2 (see
@@ -126,14 +133,15 @@ class Server {
 
   /// Graceful shutdown, phase-ordered: quiesce admission (new submissions
   /// shed), serve every admitted request to completion (dispatchers keep
-  /// issuing the EDF backlog, EDF-order; nothing admitted is shed), then
-  /// stop the dispatcher and controller threads.  Idempotent; close()
-  /// calls it first.  Requests stuck past their class watchdog still
-  /// resolve (as drops) while the controller runs.
+  /// issuing the EDF backlog, EDF-order; nothing admitted is shed — a
+  /// submit caught mid-admission by the flip is either served or resolved
+  /// as a shutdown drop), then stop the dispatcher and controller threads.
+  /// Idempotent; close() calls it first.  Requests stuck past their class
+  /// watchdog still resolve (as drops) while the controller runs.
   void drain();
 
-  /// drain(), then sheds any submission that raced the intake flip.
-  /// Idempotent.
+  /// drain(), then waits until every request node is back in the pool
+  /// (the last task holding one has retired).  Idempotent.
   void close();
 
   /// The class's watchdog budget (0 = disabled) — frontends use it to
@@ -209,53 +217,68 @@ class Server {
     EdfQueue edf;
     std::atomic<std::size_t> in_runtime{0};
 
-    /// Admitted, not yet resolved (staged + heaped + in-runtime): the
-    /// class bound admission checks.
+    /// Admitted, not yet resolved (heaped + in-runtime): the class bound
+    /// admission checks.
     std::atomic<std::size_t> in_flight{0};
 
     /// Watchdog registry: intrusive doubly-linked list of issued requests
-    /// (linked at dispatch, unlinked at complete) the controller sweeps for
+    /// (linked at dispatch, unlinked at resolve) the controller sweeps for
     /// overdue entries.  Only populated when cfg.watchdog_ns > 0.
     support::SpinLock wd_lock;
     Request* wd_head SIGRT_GUARDED_BY(wd_lock) = nullptr;
   };
 
-  enum class Outcome : std::uint8_t { Accurate, Approximate, Dropped };
+  /// How an admitted request leaves the server.  The first four were
+  /// issued to the runtime (they hold an in_runtime slot); the rest never
+  /// were.  The order is load-bearing: resolve() compares against it.
+  enum class Exit : std::uint8_t {
+    Accurate,     ///< the accurate body returned
+    Approximate,  ///< the approximate body returned
+    Dropped,      ///< drop-style class served cheap, or a body threw
+    TimedOut,     ///< the class watchdog gave up on a stuck body
+    Perforated,   ///< dropped at issue by the controller's rung 2
+    Expired,      ///< deadline passed while in the EDF heap
+    Shutdown,     ///< a submit that raced drain()'s intake flip
+  };
 
   [[nodiscard]] ClassState& class_ref(ClassId cls) const;
   [[nodiscard]] TenantState& tenant_ref(TenantId tenant) const;
   [[nodiscard]] std::size_t window_for() const noexcept;
 
   void dispatcher_loop(unsigned index);
-  /// Moves the staging chain into the per-class EDF heaps; returns how many
-  /// requests moved.
-  std::size_t drain_staging();
-  /// Issues EDF heads while dispatch windows allow (`bounded`), or drains
-  /// the heaps completely (shutdown).  Returns how many requests issued.
-  std::size_t issue_edf(double* rotor, bool bounded);
+  /// Issues EDF heads while dispatch windows allow.  Returns how many
+  /// requests left the heaps.
+  std::size_t issue_edf(double* rotor);
   /// `rotor` is the calling dispatcher's per-class perforation accumulator
   /// (kMaxClasses entries) — dispatcher-local, so N dispatchers never race
   /// on it; each enforces the drop fraction over its own batch stream.
   void dispatch(Request* r, double* rotor);
-  void complete(Request* r, Outcome outcome);
-  /// Drops an admitted request without running a body (perforation or
-  /// shutdown): fires on_drop, bumps `shed`/`perforated` style counters via
-  /// the caller, releases the in-flight reservations and recycles the node.
-  void drop_admitted(Request* r);
-  /// Deadline-expired at EDF pop: like drop_admitted but fires on_expire
-  /// (falling back to on_drop) — the caller has already bumped `expired`.
-  void expire_admitted(Request* r);
+  /// Task body wrapper: runs the accurate or approximate body and resolves
+  /// the request with the matching exit (Dropped when it has none or it
+  /// throws).
+  void run_body(Request* r, bool accurate);
+  /// The one exit of an admitted request, resolving it exactly once (the
+  /// `resolved` flag settles a body racing the watchdog): bumps the cell
+  /// counters for `how`, fires on_drop / on_expire / on_timeout (falling
+  /// back to on_drop) for exits that ran no body, releases in_runtime for
+  /// issued exits and the class, tenant and cell in_flight for all, wakes a
+  /// dispatcher when a freed window slot meets a backlog, and drops the
+  /// ownership reference the exit holds.
+  void resolve(Request* r, Exit how);
   void watchdog_link(ClassState& s, Request* r);
   /// Returns true when r was still linked (i.e. the sweep hadn't claimed
-  /// it), so the caller knows how many ownership refs to drop.
+  /// it), so the caller owns the watchdog's reference.
   bool watchdog_unlink(ClassState& s, Request* r);
   /// Controller-tick pass: resolves every issued request overdue past its
-  /// class watchdog as a drop (on_timeout, falling back to on_drop) and
-  /// releases its in-flight reservations.  The stuck body may still be
+  /// class watchdog as Exit::TimedOut.  The stuck body may still be
   /// running; the owners protocol keeps the Request alive until it exits.
   void watchdog_sweep();
   void request_unref(Request* r, int n);
+  /// Unparks one parked dispatcher, if any.  Callers fence (seq_cst)
+  /// between publishing the work and calling.
   void wake_dispatcher() noexcept;
+  /// Flips running_, wakes every dispatcher and joins them.
+  void stop_dispatchers();
   [[nodiscard]] bool has_issuable() const noexcept;
 
   void controller_loop();
@@ -274,19 +297,13 @@ class Server {
   std::vector<std::unique_ptr<TenantState>> owned_tenants_
       SIGRT_GUARDED_BY(register_mutex_);
 
-  RequestQueue queue_;
   RequestPool pool_;
   std::atomic<bool> accepting_{true};
   std::atomic<bool> running_{true};
 
-  /// Count of dispatchers currently announcing idle (two-phase park); a
-  /// producer only pays the notify when this is nonzero.
-  std::atomic<unsigned> idle_dispatchers_{0};
-  /// Single-flight token for the producer-side wake: one producer per
-  /// burst takes the lock+notify, the rest skip (see wake_dispatcher).
-  std::atomic<bool> wake_pending_{false};
-  support::Mutex wake_mutex_;
-  std::condition_variable wake_cv_;
+  /// One per dispatcher thread, sized at construction and never resized:
+  /// where dispatcher i sleeps when nothing is issuable.
+  std::vector<Parker> parkers_;
 
   support::Mutex controller_mutex_;
   std::condition_variable controller_cv_;

@@ -427,6 +427,10 @@ TEST(FaultServe, WatchdogResolvesStuckBodyWhileItStillRuns) {
   EXPECT_EQ(mid.timed_out, 1u);
   EXPECT_EQ(mid.in_flight, 0u);
   EXPECT_EQ(timeouts.load(), 1);
+  // The timeout exit releases the tenant's and the cell's reservations too.
+  const auto mid_tenant = srv.tenant_report(sigrt::serve::kDefaultTenant);
+  EXPECT_EQ(mid_tenant.in_flight, 0u);
+  EXPECT_EQ(mid_tenant.cells[cls].in_flight, 0u);
 
   // Unstick the body; its late completion must not double-account.
   release_body.store(true, std::memory_order_release);
@@ -435,6 +439,9 @@ TEST(FaultServe, WatchdogResolvesStuckBodyWhileItStillRuns) {
   EXPECT_EQ(r.served(), 1u);
   EXPECT_EQ(r.served_dropped, 1u);
   EXPECT_EQ(r.served_accurate, 0u);
+  const auto tenant = srv.tenant_report(sigrt::serve::kDefaultTenant);
+  EXPECT_EQ(tenant.in_flight, 0u);
+  EXPECT_EQ(tenant.cells[cls].in_flight, 0u);
 }
 
 TEST(FaultServe, ExpiredRequestsAreShedAtPopWithDistinctAccounting) {
@@ -465,6 +472,9 @@ TEST(FaultServe, ExpiredRequestsAreShedAtPopWithDistinctAccounting) {
   EXPECT_EQ(bodies.load(), 0);
   EXPECT_EQ(r.served(), 0u);
   EXPECT_EQ(r.in_flight, 0u);
+  const auto tenant = srv.tenant_report(sigrt::serve::kDefaultTenant);
+  EXPECT_EQ(tenant.in_flight, 0u);
+  EXPECT_EQ(tenant.cells[cls].in_flight, 0u);
 }
 
 TEST(FaultServe, DrainServesBacklogThenCloseIsIdempotent) {

@@ -69,7 +69,7 @@ TEST(SchedulerStress, HundredThousandTasksAcrossEightWorkers) {
     EXPECT_EQ(stats.executed, kTasks);  // nothing lost, nothing duplicated
     EXPECT_GT(stats.steals, 0u);
     EXPECT_GT(stats.busy_ns, 0);
-  }  // destructor: all workers parked in the eventcount must release cleanly
+  }  // destructor: workers parked on slot Parkers must release cleanly
 }
 
 TEST(SchedulerStress, BulkEnqueuePublishesEveryTaskExactlyOnce) {

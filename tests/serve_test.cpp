@@ -7,8 +7,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sigrt.hpp"
@@ -53,7 +56,6 @@ QosOptions controller_options() {
   QosOptions o;
   o.deadline_ns = 10e6;
   o.quality_floor = 0.1;
-  o.min_samples = 8;
   o.backlog_high = 256;
   o.backlog_low = 32;
   return o;
@@ -92,7 +94,7 @@ TEST(QosController, BacklogAloneIsAViolationEvenWithoutLatencySamples) {
 
 TEST(QosController, FewSlowSamplesCannotCollapseTheRatio) {
   QosController c(controller_options());
-  // Two stragglers over deadline at idle: below min_samples, so neither a
+  // Two stragglers over deadline at idle: below kMinSamples, so neither a
   // violation nor calm (p99 above target) — the controller holds.
   for (int i = 0; i < 20; ++i) c.update({80e6, 2, 0});
   EXPECT_DOUBLE_EQ(c.ratio(), 1.0);
@@ -115,10 +117,10 @@ TEST(QosController, LadderPerforatesOnlyAtTheFloorAndUnwindsInReverse) {
   EXPECT_DOUBLE_EQ(c.perforation(), 0.0);
   // Rung 2: continued violation at the floor escalates perforation...
   c.update(overload);
-  EXPECT_DOUBLE_EQ(c.perforation(), c.options().perforate_step);
+  EXPECT_DOUBLE_EQ(c.perforation(), QosController::kPerforateStep);
   for (int i = 0; i < 40; ++i) c.update(overload);
   // ...up to the cap, never beyond.
-  EXPECT_DOUBLE_EQ(c.perforation(), c.options().max_perforation);
+  EXPECT_DOUBLE_EQ(c.perforation(), QosController::kMaxPerforation);
   ASSERT_DOUBLE_EQ(c.ratio(), 0.1);
 
   // Recovery unwinds the ladder in reverse: perforation drains to zero
@@ -716,6 +718,190 @@ TEST(Edf, IssuesByDeadlineNotArrivalOrder) {
 
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kN));
   for (int i = 0; i < kN; ++i) EXPECT_EQ(order[i], kN - 1 - i) << "slot " << i;
+}
+
+// --- Dispatcher wakes and the one exit path -----------------------------
+
+/// Polls `done` for up to 10 s; true when it held in time.  The dispatcher
+/// park has no timeout, so a lost wake shows up as this returning false,
+/// never as a hang: close() (drain's loop wakes the dispatchers) still
+/// finishes the test.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+/// A request pinned accurate (significance 1.0) with no approximate body.
+Job accurate_job(std::function<void()> body) {
+  Job job;
+  job.accurate = std::move(body);
+  job.significance = 1.0;
+  return job;
+}
+
+// The submit-side wake: a dispatcher parked on an idle server must be woken
+// by the submit itself — no controller, no drain, no completion around.
+TEST(DispatcherWake, SubmitWakesTheParkedDispatcher) {
+  ServerOptions so;
+  so.runtime.workers = 1;
+  so.dispatcher_threads = 1;
+  so.epoch_ms = 0.0;
+  Server srv(so);
+  RequestClassConfig cfg;
+  cfg.name = "idle";
+  const ClassId cls = srv.register_class(cfg);
+  // Nothing to issue: the dispatcher parks well within this.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::atomic<bool> ran{false};
+  ASSERT_EQ(srv.submit(cls, accurate_job([&ran] { ran.store(true); })),
+            Admission::Admitted);
+  EXPECT_TRUE(eventually([&] { return ran.load(); }))
+      << "the submit did not wake the parked dispatcher";
+  srv.close();
+  EXPECT_EQ(srv.class_report(cls).served_accurate, 1u);
+}
+
+// The completion-side wake: with a dispatch window of 1, a request queued
+// behind a running one is issued only when that one's exit frees the slot
+// and wakes the dispatcher (which re-parked after the second submit found
+// the window full).
+TEST(DispatcherWake, CompletionReopensTheWindowAndWakesTheDispatcher) {
+  ServerOptions so;
+  so.runtime.workers = 2;
+  so.dispatcher_threads = 1;
+  so.epoch_ms = 0.0;
+  so.edf_window = 1;
+  Server srv(so);
+  RequestClassConfig cfg;
+  cfg.name = "window";
+  const ClassId cls = srv.register_class(cfg);
+
+  std::atomic<bool> gate{false}, entered{false}, second_ran{false};
+  ASSERT_EQ(srv.submit(cls, accurate_job([&] {
+              entered.store(true);
+              while (!gate.load()) {
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+              }
+            })),
+            Admission::Admitted);
+  ASSERT_TRUE(eventually([&] { return entered.load(); }));
+  ASSERT_EQ(srv.submit(cls, accurate_job([&] { second_ran.store(true); })),
+            Admission::Admitted);
+  // The second request waits in the heap; let the dispatcher re-park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(second_ran.load());
+
+  gate.store(true);
+  EXPECT_TRUE(eventually([&] { return second_ran.load(); }))
+      << "the completion did not wake the dispatcher for the backlog";
+  srv.close();
+  EXPECT_EQ(srv.class_report(cls).served_accurate, 2u);
+}
+
+// A body that throws leaves through the same exit as any other: it counts
+// as served_dropped and releases every in-flight reservation it held.
+TEST(ExitPath, ThrowingBodyResolvesAsDroppedAndReleasesEveryReservation) {
+  ServerOptions so;
+  so.runtime.workers = 1;
+  so.epoch_ms = 0.0;
+  Server srv(so);
+  RequestClassConfig cfg;
+  cfg.name = "throws";
+  const ClassId cls = srv.register_class(cfg);
+  const TenantId t = srv.register_tenant({.name = "t", .max_in_flight = 4});
+
+  constexpr int kRequests = 3;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(srv.submit(cls, t, accurate_job([] {
+                throw std::runtime_error("body failed");
+              })),
+              Admission::Admitted);
+  }
+  srv.close();
+
+  const ClassReport r = srv.class_report(cls);
+  EXPECT_EQ(r.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(r.served_dropped, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(r.served(), r.submitted);
+  EXPECT_EQ(r.in_flight, 0u);
+  const TenantReport tr = srv.tenant_report(t);
+  EXPECT_EQ(tr.in_flight, 0u);
+  EXPECT_EQ(tr.cells[cls].in_flight, 0u);
+  EXPECT_EQ(tr.cells[cls].served_dropped, static_cast<std::uint64_t>(kRequests));
+}
+
+// Submissions racing close(): one that passed the intake check before the
+// flip is admitted, so it must resolve (served, or a shutdown drop that
+// fires on_drop) and must not also count as shed.  Both identities hold
+// per (tenant, class) cell: attempts == submitted + shed, and submitted ==
+// served + perforated + expired.
+TEST(ServerStress, SubmittersRacingCloseKeepBothIdentitiesPerCell) {
+  constexpr int kRounds = 20;
+  constexpr int kThreads = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    ServerOptions so;
+    so.runtime.workers = 2;
+    so.epoch_ms = 0.0;  // no perforation: every admitted request is served
+    Server srv(so);
+    RequestClassConfig cfg;
+    cfg.name = "c0";
+    const ClassId c0 = srv.register_class(cfg);
+    cfg.name = "c1";
+    const ClassId c1 = srv.register_class(cfg);
+    const TenantId t1 = srv.register_tenant({.name = "t1"});
+
+    std::atomic<std::uint64_t> attempts[2][2] = {};
+    std::atomic<std::uint64_t> bodies{0}, drops{0};
+    std::atomic<bool> closed{false};
+    std::vector<std::thread> producers;
+    for (int th = 0; th < kThreads; ++th) {
+      producers.emplace_back([&, th] {
+        support::SplitMix64 rng(0xC105Eu * (round * kThreads + th + 1));
+        // Keep submitting through the close and a little past it; late
+        // submissions shed at the intake check.
+        while (!closed.load(std::memory_order_acquire)) {
+          const TenantId t = (rng.next() & 1) != 0 ? t1 : kDefaultTenant;
+          const ClassId c = (rng.next() & 1) != 0 ? c1 : c0;
+          attempts[t][c].fetch_add(1, std::memory_order_relaxed);
+          Job job = accurate_job([&bodies] { bodies.fetch_add(1); });
+          job.on_drop = [&drops] { drops.fetch_add(1); };
+          (void)srv.submit(c, t, std::move(job));
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 + round % 5));
+    srv.close();
+    closed.store(true, std::memory_order_release);
+    for (auto& p : producers) p.join();
+
+    std::uint64_t served_bodies = 0, dropped = 0;
+    for (const TenantId t : {kDefaultTenant, t1}) {
+      const TenantReport rt = srv.tenant_report(t);
+      EXPECT_EQ(rt.in_flight, 0u);
+      for (const ClassId c : {c0, c1}) {
+        const TenantClassCell& cell = rt.cells[c];
+        EXPECT_EQ(cell.submitted + cell.shed,
+                  attempts[t][c].load(std::memory_order_relaxed))
+            << "round " << round << " tenant " << t << " class " << c;
+        EXPECT_EQ(cell.submitted,
+                  cell.served() + cell.perforated + cell.expired)
+            << "round " << round << " tenant " << t << " class " << c;
+        EXPECT_EQ(cell.in_flight, 0u);
+        served_bodies += cell.served_accurate + cell.served_approximate;
+        dropped += cell.served_dropped;
+      }
+    }
+    // Each admitted request ran one body or fired on_drop, never both.
+    EXPECT_EQ(bodies.load(), served_bodies) << "round " << round;
+    EXPECT_EQ(drops.load(), dropped) << "round " << round;
+  }
 }
 
 // --- Isolation acceptance ------------------------------------------------
