@@ -23,53 +23,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/sigrt.hpp"
 #include "support/timer.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded != 0 ? rounded : align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -153,17 +111,17 @@ DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
   // reader/dependents buffer to the workload's high-water mark, repeating
   // until a full round allocates nothing (true steady state).
   for (int r = 0; r < max_warmup; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = alloc_counter::count();
     (void)round(rt, cells);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
+    if (r > 0 && alloc_counter::count() == before) break;
   }
 
   const std::uint64_t e0 = rt.stats().dep_edges;
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = alloc_counter::count();
   const std::int64_t t0 = sigrt::support::now_ns();
   const std::uint64_t tasks = round(rt, cells);
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = alloc_counter::count();
 
   DepRecord r;
   r.shape = shape;

@@ -20,7 +20,7 @@
 // ns_per_element is wall time divided by *surviving* elements (the work
 // actually executed), so block-vs-modulo at equal ratio compares
 // ns/surviving-element directly.  Heap allocations are counted through a
-// replaced global operator new (micro_spawn's idiom); the hot loops are
+// replaced global operator new (bench/alloc_counter.hpp); the hot loops are
 // fully preallocated, so allocs is expected to be 0 for every cell.
 //
 // Output: one JSON line (record with a "cells" array) in the BENCH_*.json
@@ -38,54 +38,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "apps/kernels.hpp"
 #include "perforation/perforate.hpp"
 #include "support/image.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 #include "support/timer.hpp"
-
-namespace {
-
-std::uint64_t g_allocs = 0;
-
-}  // namespace
-
-// Replaceable global allocation functions: every heap allocation in the
-// process goes through here (single-threaded driver, plain counter).
-void* operator new(std::size_t size) {
-  ++g_allocs;
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocs;
-  const auto a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded != 0 ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -379,12 +342,12 @@ Cell measure(Work& work, const char* kernel, perf::Shape shape, double ratio,
   cell.reps = static_cast<std::size_t>(
       std::clamp<std::int64_t>(target_ns / once, 3, 2000));
 
-  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t allocs_before = alloc_counter::count();
   sigrt::support::Stopwatch sw;
   sw.start();
   for (std::size_t r = 0; r < cell.reps; ++r) work.sweep(plan);
   sw.stop();
-  cell.allocs = g_allocs - allocs_before;
+  cell.allocs = alloc_counter::count() - allocs_before;
   cell.ns_per_element =
       static_cast<double>(sw.elapsed_ns()) /
       (static_cast<double>(cell.elements) * static_cast<double>(cell.reps));
@@ -425,12 +388,12 @@ std::pair<Cell, Cell> measure_wide_sobel(WideSobelWork& work,
   // One sample = one sweep on a fresh stopwatch (Stopwatch accumulates
   // across start/stop pairs).
   const auto sample = [](auto fn, Cell& cell, std::vector<double>& ns) {
-    const std::uint64_t a0 = g_allocs;
+    const std::uint64_t a0 = alloc_counter::count();
     sigrt::support::Stopwatch sw;
     sw.start();
     fn();
     sw.stop();
-    cell.allocs += g_allocs - a0;
+    cell.allocs += alloc_counter::count() - a0;
     ns.push_back(static_cast<double>(sw.elapsed_ns()));
   };
   for (std::size_t r = 0; r < reps; ++r) {

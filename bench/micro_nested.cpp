@@ -23,56 +23,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/sigrt.hpp"
 #include "fault/fault.hpp"
 #include "support/timer.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded != 0 ? rounded : align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -152,18 +110,18 @@ NestedRecord measure(sigrt::PolicyKind policy, double ratio, unsigned workers,
   // scratch frame to the workload's high-water mark, repeating until a
   // full round allocates nothing.
   for (int r = 0; r < max_warmup; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = alloc_counter::count();
     (void)nested_round(rt);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
+    if (r > 0 && alloc_counter::count() == before) break;
   }
 
   const auto r0 = rt.group_report(sigrt::kDefaultGroup);
   const auto steals0 = rt.steal_locality();
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = alloc_counter::count();
   const std::int64_t t0 = sigrt::support::now_ns();
   const std::uint64_t tasks = nested_round(rt);
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = alloc_counter::count();
   const auto r1 = rt.group_report(sigrt::kDefaultGroup);
   const auto steals1 = rt.steal_locality();
 
@@ -232,11 +190,11 @@ DeepChainRecord measure_deep_chain(unsigned rounds) {
   DeepChainRecord rec;
   rec.rounds = rounds;
   const auto p0 = rt.pool_stats();
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = alloc_counter::count();
   const std::int64_t t0 = sigrt::support::now_ns();
   for (unsigned r = 0; r < rounds; ++r) round();
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = alloc_counter::count();
   const auto p1 = rt.pool_stats();
   rec.wall_s = static_cast<double>(t1 - t0) * 1e-9;
   rec.handoffs = p1.handoffs - p0.handoffs;
@@ -373,10 +331,10 @@ RedoOverheadRecord measure_redo_overhead() {
 
   // Warm both shapes until a full round allocates nothing.
   for (int r = 0; r < 6; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = alloc_counter::count();
     (void)redo_round_plain(rt);
     (void)redo_round_checked(rt);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
+    if (r > 0 && alloc_counter::count() == before) break;
   }
 
   std::vector<std::int64_t> plain_ns, checked_ns;
@@ -387,9 +345,9 @@ RedoOverheadRecord measure_redo_overhead() {
     // Alternate which side of the pair runs first so cache/branch warmth
     // from the preceding round does not systematically favor one shape.
     if (r % 2 == 0) plain_ns.push_back(redo_round_plain(rt));
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = alloc_counter::count();
     checked_ns.push_back(redo_round_checked(rt));
-    checked_allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    checked_allocs += alloc_counter::count() - a0;
     if (r % 2 != 0) plain_ns.push_back(redo_round_plain(rt));
   }
 

@@ -20,75 +20,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "core/sigrt.hpp"
 #include "support/timer.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded != 0 ? rounded : align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-
-}  // namespace
-
-// Replaceable global allocation functions: every heap allocation in the
-// process (runtime, library internals, everything) goes through here.
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
-}
 
 namespace {
 
@@ -127,19 +62,19 @@ SpawnRecord measure(unsigned workers, std::uint64_t tasks, int max_warmup) {
   // measured pressure and repeat until one full round allocates nothing
   // (true steady state), bounded by max_warmup rounds.
   for (int r = 0; r < max_warmup; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = alloc_counter::count();
     spawn_round(tasks + tasks / 2);
     rt.wait_group(g);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
+    if (r > 0 && alloc_counter::count() == before) break;
   }
 
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = alloc_counter::count();
   const std::int64_t t0 = sigrt::support::now_ns();
   spawn_round(tasks);
   const std::int64_t t_spawned = sigrt::support::now_ns();
   rt.wait_group(g);
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = alloc_counter::count();
 
   SpawnRecord r;
   r.tasks = tasks;

@@ -1,23 +1,22 @@
 #include "core/policy_gtb.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <utility>
 
-#include "core/group.hpp"
+#include "core/runtime.hpp"
 
 namespace sigrt {
 
-GtbPolicy::GtbPolicy(std::size_t buffer_capacity, bool max_buffer)
-    : capacity_(max_buffer ? SIZE_MAX : std::max<std::size_t>(1, buffer_capacity)),
-      max_buffer_(max_buffer) {}
+GtbPolicy::GtbPolicy(Runtime& runtime, std::size_t buffer_capacity)
+    : runtime_(runtime),
+      capacity_(std::max<std::size_t>(1, buffer_capacity)) {}
 
-void GtbPolicy::on_spawn(const TaskPtr& task, IssueSink& sink) {
+void GtbPolicy::on_spawn(const TaskRef& task) {
   // Buffer under the lock; classify a full window outside it (see the
   // header's thread-safety note).  The moved-from vector stays in the map
   // with its capacity released — the next spawn re-grows it, which is the
   // same cost profile as the clear() of the single-spawner era.
-  std::vector<TaskPtr> window;
+  std::vector<TaskRef> window;
   {
     support::MutexLock lock(mutex_);
     auto& buffer = buffers_[task->group];
@@ -28,7 +27,7 @@ void GtbPolicy::on_spawn(const TaskPtr& task, IssueSink& sink) {
     }
   }
   if (window.empty()) return;
-  classify_and_release(task->group, window, sink);  // leaves window cleared
+  classify_and_release(task->group, window);  // leaves window cleared
   // Return the window's storage to the map slot so the next fill does not
   // re-grow a capacity-0 vector — on_spawn is the spawn hot path and the
   // steady state should not cycle the allocator once per window.  Skip if
@@ -40,39 +39,33 @@ void GtbPolicy::on_spawn(const TaskPtr& task, IssueSink& sink) {
   }
 }
 
-void GtbPolicy::flush(GroupId group, IssueSink& sink) {
-  // Move every targeted window out under the lock, then classify/release
-  // without it.  A spawn racing the barrier may land after the move and
-  // stay buffered for the next flush — the same task is never released
-  // twice, and the flushing thread's own spawns (which happened-before its
+void GtbPolicy::flush() {
+  // Move every window out under the lock, then classify/release without
+  // it.  A spawn racing the barrier may land after the move and stay
+  // buffered for the next flush — the same task is never released twice,
+  // and the flushing thread's own spawns (which happened-before its
   // barrier) are always included.
-  std::vector<std::pair<GroupId, std::vector<TaskPtr>>> taken;
+  std::vector<std::pair<GroupId, std::vector<TaskRef>>> taken;
   {
     support::MutexLock lock(mutex_);
-    if (group == kAllGroups) {
-      for (auto& [gid, window] : buffers_) {
-        if (window.empty()) continue;
-        taken.emplace_back(gid, std::move(window));
-        window.clear();
-      }
-    } else if (auto it = buffers_.find(group);
-               it != buffers_.end() && !it->second.empty()) {
-      taken.emplace_back(group, std::move(it->second));
-      it->second.clear();
+    for (auto& [gid, window] : buffers_) {
+      if (window.empty()) continue;
+      taken.emplace_back(gid, std::move(window));
+      window.clear();
     }
   }
-  for (auto& [gid, window] : taken) classify_and_release(gid, window, sink);
+  for (auto& [gid, window] : taken) classify_and_release(gid, window);
 }
 
-void GtbPolicy::classify_and_release(GroupId group, std::vector<TaskPtr>& window,
-                                     IssueSink& sink) {
+void GtbPolicy::classify_and_release(GroupId group,
+                                     std::vector<TaskRef>& window) {
   if (window.empty()) return;
-  const double ratio = sink.group_ref(group).ratio();
+  const double ratio = runtime_.group_ref(group).ratio();
 
   // Stable sort by decreasing significance: ties keep spawn order, which
   // makes GTB fully deterministic (§4.2 relies on this for Kmeans).
   std::stable_sort(window.begin(), window.end(),
-                   [](const TaskPtr& a, const TaskPtr& b) {
+                   [](const TaskRef& a, const TaskRef& b) {
                      return a->significance > b->significance;
                    });
 
@@ -95,19 +88,9 @@ void GtbPolicy::classify_and_release(GroupId group, std::vector<TaskPtr>& window
   // single batched scheduler enqueue (one publish per target queue instead
   // of one per task).
   std::stable_sort(window.begin(), window.end(),
-                   [](const TaskPtr& a, const TaskPtr& b) { return a->id < b->id; });
-  sink.release_bulk(window);
+                   [](const TaskRef& a, const TaskRef& b) { return a->id < b->id; });
+  runtime_.release_bulk(window);
   window.clear();
-}
-
-ExecutionKind GtbPolicy::decide(const Task& task, unsigned /*worker_index*/,
-                                IssueSink& /*sink*/) {
-  // GTB classifies every task before releasing it; reaching here would mean
-  // a task bypassed the buffer.
-  assert(task.kind != ExecutionKind::Undecided &&
-         "GTB task reached a worker unclassified");
-  return task.kind == ExecutionKind::Undecided ? ExecutionKind::Accurate
-                                               : task.kind;
 }
 
 }  // namespace sigrt

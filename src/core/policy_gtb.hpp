@@ -1,4 +1,5 @@
-// Global Task Buffering (GTB), §3.3 / Listing 4 of the paper.
+// Global Task Buffering (GTB), §3.3 / Listing 4 of the paper: the
+// issue-time decision point.
 //
 // Spawned tasks are buffered per group instead of issued.  When a buffer
 // fills, or a barrier flushes it, the buffered window is sorted by
@@ -6,6 +7,11 @@
 // the rest approximate.  With an unbounded buffer (GTBMaxBuffer, the §3.2
 // oracle) the classification is exact: it equals the offline-optimal
 // assignment.
+//
+// The Runtime owns one GtbPolicy under GTB and GTBMaxBuffer.  It calls
+// on_spawn() from spawn_impl and flush() from every barrier; the policy
+// reads the group's ratio() and hands a classified window back through
+// Runtime::release_bulk.
 //
 // Thread safety (the any-thread spawn contract): the per-group windows are
 // guarded by one mutex, held only while mutating the buffers — a window
@@ -18,42 +24,42 @@
 
 #include <cstddef>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "core/policy.hpp"
+#include "core/task.hpp"
+#include "core/types.hpp"
 #include "support/mutex.hpp"
 
 namespace sigrt {
 
-class GtbPolicy : public Policy {
+class Runtime;
+
+class GtbPolicy {
  public:
   /// `buffer_capacity` tasks are buffered per group before a forced flush;
-  /// SIZE_MAX buffers until the barrier (Max Buffer flavor).
-  explicit GtbPolicy(std::size_t buffer_capacity, bool max_buffer = false);
+  /// SIZE_MAX buffers until the barrier (GTBMaxBuffer).
+  GtbPolicy(Runtime& runtime, std::size_t buffer_capacity);
 
-  [[nodiscard]] const char* name() const noexcept override {
-    return max_buffer_ ? "GTB(MaxBuffer)" : "GTB";
-  }
+  /// Spawning thread — ANY thread, including workers inside task bodies: a
+  /// new task holding its policy hold (see Task::gate) was spawned.  It is
+  /// buffered; a window that fills is classified and released.
+  void on_spawn(const TaskRef& task);
 
-  void on_spawn(const TaskPtr& task, IssueSink& sink) override;
-  void flush(GroupId group, IssueSink& sink) override;
-  [[nodiscard]] ExecutionKind decide(const Task& task, unsigned worker_index,
-                                     IssueSink& sink) override;
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Barrier reached — again from any thread, possibly several
+  /// concurrently: classifies and releases every buffered window.  Each
+  /// buffered task is released exactly once across concurrent flushes.
+  void flush();
 
  private:
   /// Sorts one group's window, classifies it per Listing 4 and releases all
-  /// tasks to the sink.
-  void classify_and_release(GroupId group, std::vector<TaskPtr>& window,
-                            IssueSink& sink);
+  /// tasks to the runtime.
+  void classify_and_release(GroupId group, std::vector<TaskRef>& window);
 
+  Runtime& runtime_;
   const std::size_t capacity_;
-  const bool max_buffer_;
   // Guards buffers_ only; classification runs on moved-out windows.
   support::Mutex mutex_;
-  std::unordered_map<GroupId, std::vector<TaskPtr>> buffers_
+  std::unordered_map<GroupId, std::vector<TaskRef>> buffers_
       SIGRT_GUARDED_BY(mutex_);
 };
 

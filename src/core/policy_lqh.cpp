@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "core/group.hpp"
-
 namespace sigrt {
 
 LqhPolicy::LqhPolicy(unsigned levels, unsigned workers)
@@ -17,16 +15,8 @@ unsigned LqhPolicy::level_of(float significance) const noexcept {
       std::lround(clamped * static_cast<float>(levels_ - 1)));
 }
 
-void LqhPolicy::on_spawn(const TaskPtr& task, IssueSink& sink) {
-  sink.release(task);  // no buffering: decision happens at dequeue
-}
-
-void LqhPolicy::flush(GroupId /*group*/, IssueSink& /*sink*/) {
-  // Nothing buffered, nothing to flush.
-}
-
 ExecutionKind LqhPolicy::decide(const Task& task, unsigned worker_index,
-                                IssueSink& sink) {
+                                double ratio) {
   // Called from the scheduler's worker loop (dequeue hook) on the worker
   // that won the task; touches only that worker's slot, so no locks.
   // Special significance values bypass the history entirely (§2).
@@ -57,7 +47,6 @@ ExecutionKind LqhPolicy::decide(const Task& task, unsigned worker_index,
   }
   const std::uint64_t at = h.seen[level];
 
-  const double ratio = sink.group_ref(task.group).ratio();
   const double budget = (1.0 - ratio) * static_cast<double>(h.total);
 
   ExecutionKind kind;

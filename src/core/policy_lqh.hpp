@@ -1,4 +1,5 @@
-// Local Queue History (LQH), §3.4 of the paper.
+// Local Queue History (LQH), §3.4 of the paper: the dequeue-time decision
+// point.
 //
 // Tasks are issued to worker queues immediately.  Right before executing a
 // task, the worker consults its private history of significance levels for
@@ -7,10 +8,11 @@
 // budget (1 - ratio).  The paper tracks 101 discrete levels (0.00..1.00 in
 // 0.01 steps); the level count is configurable here.
 //
-// Threading: decide() runs inside the scheduler's dequeue hook, on the
-// executing worker, and the entire decision path is lock-free — per-worker
-// history slots are disjoint, and the group ratio() lookup goes through the
-// runtime's lock-free group table plus the group's relaxed atomic.  One
+// Threading: the Runtime owns one LqhPolicy under LQH and calls decide()
+// from classify_at_dequeue — the scheduler's dequeue hook, on the executing
+// worker — and the entire decision path is lock-free: per-worker history
+// slots are disjoint, and the caller resolves the group's ratio() through
+// the runtime's lock-free group table plus the group's relaxed atomic.  One
 // worker never touches another worker's history (work stealing changes
 // *which* history a task lands in, the §4.2 effect, not who owns it).
 //
@@ -30,29 +32,24 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/policy.hpp"
+#include "core/task.hpp"
+#include "core/types.hpp"
 
 namespace sigrt {
 
-class LqhPolicy final : public Policy {
+class LqhPolicy {
  public:
   LqhPolicy(unsigned levels, unsigned workers);
 
-  [[nodiscard]] const char* name() const noexcept override { return "LQH"; }
-
-  [[nodiscard]] bool pass_through() const noexcept override { return true; }
-
-  void on_spawn(const TaskPtr& task, IssueSink& sink) override;
-  void flush(GroupId group, IssueSink& sink) override;
+  /// Worker `worker_index` won `task`, still Undecided, of a group whose
+  /// live ratio() is `ratio`: classify it against that worker's history.
   [[nodiscard]] ExecutionKind decide(const Task& task, unsigned worker_index,
-                                     IssueSink& sink) override;
+                                     double ratio);
 
-  [[nodiscard]] unsigned levels() const noexcept { return levels_; }
-
+ private:
   /// Maps a significance in [0,1] to its discrete level.
   [[nodiscard]] unsigned level_of(float significance) const noexcept;
 
- private:
   /// Levels per coarse block of the two-level histogram: the cumulative
   /// count below a level is (sum of whole blocks) + (partial scan inside
   /// one block), turning the O(levels) prefix walk on every decision into

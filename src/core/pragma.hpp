@@ -129,7 +129,7 @@ class PragmaTaskwait {
   }
 
   // Clause-application order is part of the contract: ratio() lands BEFORE
-  // the wait in every branch, because the wait's policy flush is what
+  // the wait in every branch, because the wait's GTB flush is what
   // classifies a GTB-buffered barrier window — applied after, the window
   // would be classified at the stale ratio.  tests/pragma_test.cpp pins
   // this ordering.

@@ -97,8 +97,6 @@ Runtime::Runtime(RuntimeConfig config)
       // worker, a power of two within the tracker's mask-width ceiling.
       tracker_(config.block_bytes,
                topo::system_topology().recommended_stripes(config.workers)),
-      policy_(make_policy(config)),
-      pass_through_(policy_->pass_through()),
       group_table_(new std::atomic<TaskGroup*>[kGroupFastTableSize]),
       start_ns_(support::now_ns()) {
   for (std::size_t i = 0; i < kGroupFastTableSize; ++i) {
@@ -108,8 +106,15 @@ Runtime::Runtime(RuntimeConfig config)
                                                 config_.record_task_log));
   publish_group(kDefaultGroup, groups_.back().get());
 
-  // The scheduler's dequeue hook is the policy's worker-side decision point
-  // (LQH, §3.4): classification happens on the executing worker, against
+  switch (config_.policy) {
+    case PolicyKind::GTB: gtb_.emplace(*this, config_.gtb_buffer); break;
+    case PolicyKind::GTBMaxBuffer: gtb_.emplace(*this, SIZE_MAX); break;
+    case PolicyKind::LQH: lqh_.emplace(config_.lqh_levels, config_.workers); break;
+    case PolicyKind::Agnostic: break;
+  }
+
+  // The scheduler's dequeue hook is LQH's worker-side decision point
+  // (§3.4): classification happens on the executing worker, against
   // worker-local history, with no locks on the path.  The hooks are plain
   // function pointers over `this` — captureless trampolines, no
   // std::function type erasure anywhere on the execute path.
@@ -255,13 +260,13 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
 
   task->has_footprint = !options.accesses.empty();
 
-  // Spawn fast path: a dependency-free task under a pass-through policy
+  // Spawn fast path: a dependency-free task with no GTB buffer to pass
   // (LQH/agnostic) is runnable the moment it exists — no policy hold, no
   // registration hold, no gate arithmetic at all (the gate stays 0 and the
   // classification happens at dequeue).  This skips three atomic RMWs per
-  // task on the hottest spawn path; buffering policies and tasks with
-  // in()/out() clauses take the general path below.
-  if (!task->has_footprint && pass_through_ && !internal) {
+  // task on the hottest spawn path; GTB and tasks with in()/out() clauses
+  // take the general path below.
+  if (!task->has_footprint && !gtb_ && !internal) {
     // Work-first spawn throttle: past the per-worker queue watermark, run
     // the task inline on the spawner instead of enqueueing (the OpenMP
     // task-creation cutoff).  Fan-out loops switch from breadth-first
@@ -284,9 +289,9 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   }
 
   // Gate arithmetic.  The final hold count is (holds + deps): hold B for
-  // this registration (released at the bottom), hold A for policy
-  // classification (released by the Policy via IssueSink) — only taken
-  // when a buffering policy actually needs it, see below — plus one per
+  // this registration (released at the bottom), hold A for GTB
+  // classification (released by GtbPolicy through release_bulk) — only
+  // taken when a GTB buffer exists, see below — plus one per
   // unfinished predecessor.  deps is only known *after* registration, and
   // predecessors may complete — and decrement the gate — concurrently with
   // it (the striped tracker hands a completing predecessor's dependents
@@ -297,13 +302,12 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   // (with a plain initial value of `holds`, two predecessors finishing
   // inside the window double-enqueue the task).
   //
-  // Pass-through policies (LQH/agnostic) never buffer: their on_spawn is an
-  // immediate release of hold A.  Dependent tasks under them skip the
-  // policy hop entirely — no virtual call, one fewer gate RMW — and are
+  // Without a GTB buffer (LQH/agnostic) there is no hold A: dependent
+  // tasks skip the policy hop entirely — one fewer gate RMW — and are
   // classified at dequeue exactly as on the footprint-free fast path.
   // Internal fence tasks do the same (they bypass buffering by contract)
   // but are pinned Accurate here.
-  const bool skip_policy = internal || pass_through_;
+  const bool skip_policy = internal || !gtb_;
   const std::uint32_t holds = skip_policy ? 1u : 2u;
   constexpr std::uint32_t kSpawnHold = 1u << 20;
   task->gate.store(kSpawnHold, std::memory_order_relaxed);
@@ -335,31 +339,22 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   // >= holds, so the zero crossing can only happen via the releases below.
   task->gate.fetch_sub(kSpawnHold - holds - static_cast<std::uint32_t>(deps),
                        std::memory_order_acq_rel);
-  policy_->on_spawn(task, *this);  // will release hold A
+  gtb_->on_spawn(task);  // will release hold A
 
   if (task->release_one()) {  // hold B
     scheduler_->enqueue(std::move(task));  // donate the spawner's reference
   }
 }
 
-void Runtime::release(const TaskPtr& task) {
-  if (task->release_one()) {
-    // Donate one fresh reference to the scheduler; the caller keeps its own.
-    task->retain();
-    scheduler_->enqueue_owned(task.get());
-  }
-}
-
-void Runtime::release_bulk(const std::vector<TaskPtr>& tasks) {
-  // Spawn-batching fast path: a policy window (GTB flush) drops its holds
-  // here; every task that becomes runnable is published to the scheduler
-  // as one bulk enqueue instead of |window| individual ones.  The ready
-  // subset lives in a thread-local scratch buffer — the per-flush
-  // std::vector churn of the shared_ptr era is gone.
+void Runtime::release_bulk(const std::vector<TaskRef>& tasks) {
+  // Spawn-batching fast path: a GTB window drops its holds here; every
+  // task that becomes runnable is published to the scheduler as one bulk
+  // enqueue instead of |window| individual ones.  The ready subset lives
+  // in a thread-local scratch buffer, so a flush allocates nothing.
   thread_local std::vector<Task*> ready;
   ready.clear();
   if (ready.capacity() < tasks.size()) ready.reserve(tasks.size());
-  for (const TaskPtr& t : tasks) {
+  for (const TaskRef& t : tasks) {
     if (t->release_one()) {
       t->retain();  // the scheduler's in-flight reference
       ready.push_back(t.get());
@@ -370,22 +365,23 @@ void Runtime::release_bulk(const std::vector<TaskPtr>& tasks) {
 }
 
 void Runtime::classify_at_dequeue(Task& task, unsigned worker) {
-  // Policy dequeue hook, invoked by the scheduler's worker loop right
-  // after it wins a task.  GTB-classified tasks pass through untouched;
-  // LQH/agnostic tasks arrive Undecided and are decided here, against
-  // state local to `worker`.
-  if (task.kind == ExecutionKind::Undecided) {
-    task.kind = policy_->decide(task, worker, *this);
-  }
+  // Invoked by the scheduler on every path that runs a task (pop, steal,
+  // help, inline), right after the task is won.  GTB-classified and
+  // internal tasks pass through untouched; LQH/agnostic tasks arrive
+  // Undecided and are decided here, against state local to `worker`.
+  if (task.kind != ExecutionKind::Undecided) return;
+  // GTB classifies every task before releasing it; reaching here would
+  // mean a task bypassed the buffer.
+  assert(!gtb_ && "GTB task reached a worker unclassified");
+  task.kind = lqh_ ? lqh_->decide(task, worker, group_ref(task.group).ratio())
+                   : ExecutionKind::Accurate;
 }
 
 void Runtime::execute_task(Task& task, unsigned worker) {
+  // The dequeue hook ran first: the task is classified.
+  assert(task.kind != ExecutionKind::Undecided &&
+         "task reached execution still Undecided");
   ExecutionKind kind = task.kind;
-  if (kind == ExecutionKind::Undecided) {
-    // The dequeue hook classifies before execution; this fallback only
-    // covers policies that decline to decide.
-    kind = policy_->decide(task, worker, *this);
-  }
   if (kind == ExecutionKind::Approximate && !task.approximate) {
     kind = ExecutionKind::Dropped;  // no approxfun: drop the task (§2)
   }
@@ -397,16 +393,6 @@ void Runtime::execute_task(Task& task, unsigned worker) {
       fault::should_fire(fault::Site::TaskCorrupt, task.id)) {
     kind = ExecutionKind::Dropped;
     faults_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Normalize before running/completing: a policy that declines to decide
-  // must not leak Undecided into completion — the no-op accounting branch
-  // would break spawned == accurate + approximate + dropped in reports.
-  // Undecided-at-execution is a policy bug (every shipped policy decides by
-  // here), so debug builds assert; release builds run the accurate body,
-  // the conservative reading of "no decision was made".
-  if (kind == ExecutionKind::Undecided) {
-    assert(false && "task reached execution still Undecided");
-    kind = ExecutionKind::Accurate;
   }
   task.kind = kind;
 
@@ -636,17 +622,17 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
       std::this_thread::yield();
       continue;
     }
-    // Nothing acquirable but the barrier still holds.  Under a buffering
-    // policy, re-flush before sleeping: a task executed meanwhile (here or
-    // on another worker) may have spawned into a window, and the barrier's
-    // entry-time flush cannot have seen it — without this the awaited task
-    // sits in the buffer forever.
-    if (!pass_through_) policy_->flush(kAllGroups, *this);
+    // Nothing acquirable but the barrier still holds.  Under GTB, re-flush
+    // before sleeping: a task executed meanwhile (here or on another
+    // worker) may have spawned into a window, and the barrier's entry-time
+    // flush cannot have seen it — without this the awaited task sits in the
+    // buffer forever.
+    if (gtb_) gtb_->flush();
     if (!may_park) continue;
     // Park until the completion side notifies (see parker.hpp for the
     // Dekker pairing with the completer).  Registration happens once and
-    // stays in place across parks; buffering policies use timed parks so
-    // the flush above re-runs periodically.
+    // stays in place across parks; under GTB parks are timed so the flush
+    // above re-runs periodically.
     if (waiter == nullptr) {
       waiter = this_thread_waiter();
       if (wtask != nullptr) {
@@ -662,10 +648,10 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
         waiter->parker.cancel_park();
         break;
       }
-      if (pass_through_) {
-        waiter->parker.park();
-      } else {
+      if (gtb_) {
         waiter->parker.park_for(std::chrono::microseconds(1000));
+      } else {
+        waiter->parker.park();
       }
     } else {
       // Slot-owning waiter parks on its worker slot's Parker, so producer
@@ -675,8 +661,8 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
       scheduler_->park_worker_for_barrier(
           waiter->slot,
           [](void* ctx) { return (*static_cast<Done*>(ctx))(); }, &done,
-          pass_through_ ? std::chrono::microseconds(0)
-                        : std::chrono::microseconds(1000));
+          gtb_ ? std::chrono::microseconds(1000)
+               : std::chrono::microseconds(0));
     }
   }
   if (waiter != nullptr) {
@@ -690,7 +676,7 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
 }
 
 void Runtime::wait_all() {
-  policy_->flush(kAllGroups, *this);
+  if (gtb_) gtb_->flush();
   if (Task* self = tls_task_frame.runtime == this ? tls_task_frame.task
                                                   : nullptr) {
     // In-task taskwait (OpenMP semantics): barrier over THIS task's
@@ -712,7 +698,7 @@ void Runtime::wait_group(GroupId group) {
   // Flush every buffer, not only `group`: a task of this group may depend
   // on a still-buffered task of another group, and a partial flush would
   // deadlock the barrier.
-  policy_->flush(kAllGroups, *this);
+  if (gtb_) gtb_->flush();
   TaskGroup& g = group_ref(group);
   // Fail fast on the in-task self-deadlock shapes: a member of `group`
   // waiting on its own group stays pending until after its body returns,
@@ -741,7 +727,7 @@ void Runtime::wait_group(GroupId group) {
 }
 
 void Runtime::wait_on(const void* ptr, std::size_t bytes) {
-  policy_->flush(kAllGroups, *this);
+  if (gtb_) gtb_->flush();
 
   // A fence task with an in() clause on the range depends on exactly the
   // pending writers of that range; its body raises `done`, then wakes this
@@ -751,7 +737,7 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
   // immortal handle.  In-task, the waiter is also registered on the
   // calling task, which the fence pins as its parent.  help_until's
   // re-flush covers a writer of this range that a concurrent spawner
-  // parked in a policy window after the entry flush above.
+  // parked in a GTB window after the entry flush above.
   std::atomic<bool> done{false};
   BarrierWaiter* const waiter = this_thread_waiter();
   Task* self = tls_task_frame.runtime == this ? tls_task_frame.task : nullptr;
@@ -823,7 +809,7 @@ RuntimeStats Runtime::stats() const {
 void Runtime::dump_state(FILE* out) const {
   std::fprintf(out, "runtime: pending=%llu policy=%s\n",
                static_cast<unsigned long long>(pending_.load()),
-               policy_->name());
+               policy_name());
   {
     support::ReaderLock lock(groups_mutex_);
     for (const auto& g : groups_) {

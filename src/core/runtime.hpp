@@ -1,6 +1,6 @@
 // The significance-aware runtime facade: ties together the dependence
-// tracker, the classification policy, the work-sharing scheduler, group
-// accounting and energy measurement.
+// tracker, the classification policy (GTB at issue, LQH at dequeue), the
+// work-sharing scheduler, group accounting and energy measurement.
 //
 // Typical use (Sobel, Listing 1 of the paper):
 //
@@ -57,12 +57,14 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/group.hpp"
-#include "core/policy.hpp"
+#include "core/policy_gtb.hpp"
+#include "core/policy_lqh.hpp"
 #include "core/scheduler.hpp"
 #include "core/task.hpp"
 #include "core/task_options.hpp"
@@ -96,7 +98,7 @@ struct RuntimeStats {
   double wall_s = 0.0;
 };
 
-class Runtime final : public energy::ActivitySource, private IssueSink {
+class Runtime final : public energy::ActivitySource {
  public:
   /// Helping-depth cap: an in-task barrier nested deeper than this many
   /// helping frames on one thread stops helping (C++ stack depth tracks
@@ -104,7 +106,7 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   static constexpr unsigned kHelpingDepth = 16;
 
   /// Work-first spawn throttle: when a worker's own queues hold more than
-  /// this many tasks, a dependency-free spawn under a pass-through policy
+  /// this many tasks, a dependency-free spawn with no GTB buffer to pass
   /// runs inline on the spawner (the OpenMP task-creation cutoff), so
   /// queue memory stays bounded at extreme fan-out.
   static constexpr unsigned kSpawnInlineWatermark = 256;
@@ -200,7 +202,7 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   [[nodiscard]] RuntimeStats stats() const;
   [[nodiscard]] const RuntimeConfig& config() const noexcept { return config_; }
   [[nodiscard]] const char* policy_name() const noexcept {
-    return policy_->name();
+    return to_string(config_.policy);
   }
   [[nodiscard]] const dep::BlockTracker& tracker() const noexcept {
     return tracker_;
@@ -218,12 +220,15 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   void dump_state(FILE* out) const;
 
  private:
-  // IssueSink.  release_bulk turns a policy window (a GTB flush) into one
-  // batched scheduler enqueue — the spawn-batching fast path — using a
-  // thread-local scratch buffer, so a flush allocates nothing.
-  void release(const TaskPtr& task) override;
-  void release_bulk(const std::vector<TaskPtr>& tasks) override;
-  [[nodiscard]] TaskGroup& group_ref(GroupId id) override;
+  // GTB reads a window's group ratio() and releases the classified window.
+  friend class GtbPolicy;
+
+  /// Drops the policy hold of every task in a classified GTB window and
+  /// publishes the runnable subset as one batched scheduler enqueue — the
+  /// spawn-batching fast path — through a thread-local scratch buffer, so
+  /// a flush allocates nothing.
+  void release_bulk(const std::vector<TaskRef>& tasks);
+  [[nodiscard]] TaskGroup& group_ref(GroupId id);
 
   void execute_task(Task& task, unsigned worker);
   void classify_at_dequeue(Task& task, unsigned worker);
@@ -236,8 +241,8 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   /// handle directly) and parks: on its worker slot's Parker while it owns
   /// one, on its own Parker otherwise.  A thread without a slot — a plain thread,
   /// or a worker past kHelpingDepth or inside begin_blocking() — never
-  /// helps, only re-flushes and parks.  Under buffering policies parks are
-  /// timed so the policy window is re-flushed.  Inline mode helps and
+  /// helps, only re-flushes and parks.  Under GTB parks are timed so the
+  /// buffered windows are re-flushed.  Inline mode helps and
   /// flushes but never parks.
   template <typename Done>
   void help_until(Done done, Task* wtask, WaiterList* wlist);
@@ -247,10 +252,11 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
 
   RuntimeConfig config_;
   dep::BlockTracker tracker_;
-  std::unique_ptr<Policy> policy_;
-  /// Cached Policy::pass_through(): gates the spawn fast path without a
-  /// virtual call per spawn.
-  bool pass_through_ = false;
+  /// The policy's decision point: a GTB buffer under GTB/GTBMaxBuffer, an
+  /// LQH history under LQH, neither under Agnostic (every task accurate).
+  /// No GTB buffer is what opens the spawn fast path.
+  std::optional<GtbPolicy> gtb_;
+  std::optional<LqhPolicy> lqh_;
 
   mutable support::SharedMutex groups_mutex_;
   std::vector<std::unique_ptr<TaskGroup>> groups_ SIGRT_GUARDED_BY(groups_mutex_);
@@ -276,7 +282,7 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   std::exception_ptr first_error_ SIGRT_GUARDED_BY(error_mutex_);
 
   std::int64_t start_ns_;
-  std::unique_ptr<Scheduler> scheduler_;  // after policy_: callback uses both
+  std::unique_ptr<Scheduler> scheduler_;  // after gtb_/lqh_: its hook reads them
   std::unique_ptr<energy::Meter> meter_;
 };
 

@@ -406,44 +406,29 @@ void Scheduler::drain_inline() {
   inline_draining_ = false;
 }
 
-bool Scheduler::drain_own_inbox(unsigned index, Partition part) {
-  WorkerSlot& slot = *slots_[index];
-  Task* list = slot.inbox[part].exchange(nullptr, std::memory_order_acquire);
-  if (list == nullptr) return false;
-  // The chain is newest-first; pushing in chain order makes the owner's
-  // bottom pop return the oldest first — FIFO issue order per worker (§3).
-  while (list != nullptr) {
-    Task* t = list;
-    list = list->next_ready;
-    t->next_ready = nullptr;
-    slot.deque[part].push(t);
-  }
-  return true;
-}
-
-Task* Scheduler::raid_inbox(unsigned thief, unsigned victim, Partition part) {
+std::uint64_t Scheduler::splice_inbox(unsigned index, unsigned from,
+                                      Partition part) {
   Task* list =
-      slots_[victim]->inbox[part].exchange(nullptr, std::memory_order_acquire);
-  if (list == nullptr) return nullptr;
-
-  WorkerSlot& me = *slots_[thief];
-  // Keep the oldest task (chain tail) to run now; everything newer is
-  // re-exposed through our own deque, where other workers can steal it.
-  std::uint64_t moved = 1;
-  while (list->next_ready != nullptr) {
+      slots_[from]->inbox[part].exchange(nullptr, std::memory_order_acquire);
+  if (list == nullptr) return 0;
+  // The chain is newest-first; pushing in chain order makes the caller's
+  // bottom pop return the oldest first — FIFO issue order per worker (§3).
+  WorkerSlot& me = *slots_[index];
+  std::uint64_t moved = 0;
+  while (list != nullptr) {
     Task* t = list;
     list = list->next_ready;
     t->next_ready = nullptr;
     me.deque[part].push(t);
     ++moved;
   }
-  me.steals.fetch_add(moved, std::memory_order_relaxed);
-  if (moved > 1) {
-    // We just became a victim worth stealing from.
+  if (moved > 1 && steal_enabled_) {
+    // Everything but the task the caller pops next is stealable now: wake
+    // a thief, or a long first task strands the rest behind it.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     wake_workers(kNoPreference, part, 1);
   }
-  return list;
+  return moved;
 }
 
 Task* Scheduler::acquire_work(unsigned index) {
@@ -459,8 +444,8 @@ Task* Scheduler::acquire_work(unsigned index) {
 
   // 2. Splice own inboxes into the deques, then retry.
   bool drained = false;
-  if (reliable) drained |= drain_own_inbox(index, kReliableOnly);
-  drained |= drain_own_inbox(index, kAnyWorker);
+  if (reliable) drained |= splice_inbox(index, index, kReliableOnly) > 0;
+  drained |= splice_inbox(index, index, kAnyWorker) > 0;
   if (drained) {
     if (reliable) {
       if (Task* t = slot.deque[kReliableOnly].pop()) return t;
@@ -493,11 +478,16 @@ Task* Scheduler::try_steal(unsigned thief) {
     }
     // Deques dry: raid undrained injections so work routed to a busy
     // worker is never stranded behind its long-running task.
+    const auto raid = [&](Partition part) -> Task* {
+      const std::uint64_t moved = splice_inbox(thief, v, part);
+      if (moved == 0) return nullptr;
+      me.steals.fetch_add(moved, std::memory_order_relaxed);
+      return me.deque[part].pop();
+    };
     if (reliable) {
-      if (Task* t = raid_inbox(thief, v, kReliableOnly)) return t;
+      if (Task* t = raid(kReliableOnly)) return t;
     }
-    if (Task* t = raid_inbox(thief, v, kAnyWorker)) return t;
-    return nullptr;
+    return raid(kAnyWorker);
   };
 
   // Nearest-first, convoy-free: victims are probed by ascending topology

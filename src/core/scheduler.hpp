@@ -15,11 +15,12 @@
 //     structures only ever hold kAnyWorker tasks — is what lets thieves
 //     skip the seed's racy peek-at-the-queue-front eligibility check.
 //
-//   * Producers that are not workers (the master, a policy flush) push raw
+//   * Producers that are not workers (the master, a GTB flush) push raw
 //     Task* into a per-worker lock-free MPSC inbox (Treiber chain); the
-//     owner splices its inbox into its deque when the deque runs dry.
-//     Thieves may also raid a victim's inbox wholesale so work routed to a
-//     busy worker is never stranded.  Workers executing a task push newly
+//     owner splices its inbox into its deque when the deque runs dry, and
+//     thieves may raid a victim's inbox the same way, so work routed to a
+//     busy worker is never stranded.  A splice of more than one task wakes
+//     a thief for the tasks behind the one the splicer runs.  Workers executing a task push newly
 //     released dependents straight onto their own deque (pure owner push).
 //     Batches keep issue order on both paths; a lone dependent released
 //     mid-execution runs next (depth-first), the classic work-stealing
@@ -97,8 +98,8 @@ class Scheduler {
   using ExecuteFn = void (*)(void* ctx, Task& task, unsigned worker);
 
   /// Optional dequeue hook: called on the executing worker right after it
-  /// wins a task and before the body runs.  The runtime wires the policy's
-  /// dequeue-time decision point (LQH, §3.4) through this, keeping the
+  /// wins a task and before the body runs.  The runtime wires LQH's
+  /// dequeue-time decision point (§3.4) through this, keeping the
   /// classification worker-local.  Must not throw.
   using DequeueFn = void (*)(void* ctx, Task& task, unsigned worker);
 
@@ -136,7 +137,7 @@ class Scheduler {
   /// reference per task.
   void enqueue_bulk(Task* const* tasks, std::size_t count);
 
-  /// Convenience for tests and buffered policies: transfers each TaskRef's
+  /// Convenience for scheduler_stress_test: transfers each TaskRef's
   /// reference to the scheduler, leaving the entries empty.
   void enqueue_bulk(std::vector<TaskRef>& tasks);
 
@@ -300,11 +301,11 @@ class Scheduler {
   /// Owner-side work acquisition: own deques -> own inboxes -> stealing.
   Task* acquire_work(unsigned index);
   Task* try_steal(unsigned thief);
-  /// Splices worker `index`'s inbox[part] into its own deque[part].
-  bool drain_own_inbox(unsigned index, Partition part);
-  /// Thief-side inbox raid: empties victim's inbox[part], keeps the oldest
-  /// task to run and re-exposes the rest through the thief's own deque.
-  Task* raid_inbox(unsigned thief, unsigned victim, Partition part);
+  /// Moves worker `from`'s whole inbox[part] chain onto the calling worker
+  /// `index`'s deque[part] (its own inbox, or a victim's in a raid), so the
+  /// caller's next pop returns the oldest task; moving more than one task
+  /// wakes one parked worker entitled to `part`.  Returns the count moved.
+  std::uint64_t splice_inbox(unsigned index, unsigned from, Partition part);
 
   /// True when any structure this worker is entitled to take from could
   /// hold work.  Only meaningful between prepare_park and park.

@@ -103,7 +103,7 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
   // --- release gate ------------------------------------------------------
   // A task becomes runnable when its gate reaches zero.  The gate starts at
   // (number of unfinished predecessors) + 1, where the +1 is the policy hold:
-  // buffering policies keep it until they classify the task.  Whoever
+  // GTB keeps it until it classifies the task.  Whoever
   // performs the final decrement enqueues the task.
   std::atomic<std::uint32_t> gate{0};
 
@@ -238,9 +238,6 @@ class TaskRef {
  private:
   Task* ptr_ = nullptr;
 };
-
-/// Historical alias from the shared_ptr era; same type, same semantics.
-using TaskPtr = TaskRef;
 
 /// Allocates a task from the pool (refcount 1, fully reset state).
 [[nodiscard]] TaskRef make_task();

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -14,7 +13,6 @@ using GroupId = std::uint32_t;
 
 /// Group 0 always exists: tasks spawned without a label() clause land here.
 inline constexpr GroupId kDefaultGroup = 0;
-inline constexpr GroupId kAllGroups = std::numeric_limits<GroupId>::max();
 
 /// How a task was (or will be) executed.
 enum class ExecutionKind : std::uint8_t {

@@ -409,12 +409,18 @@ TEST(Runtime, GroupReportInvariantHoldsAcrossPolicies) {
                                   PolicyKind::GTBMaxBuffer, PolicyKind::LQH};
   for (const PolicyKind policy : kPolicies) {
     for (const unsigned workers : {0u, 2u}) {
+      std::atomic<int> zero_sig_approx{0};
       Runtime rt(threaded_config(workers, policy));
       const auto g = rt.create_group("mix", 0.5);
       alignas(1024) static int data[64];
       for (int i = 0; i < 40; ++i) {
         auto b = sigrt::task([] {}).significance((i % 10) / 10.0).group(g);
-        if (i % 2 == 0) b.approx([] {});  // odd tasks drop when approximated
+        if (i % 2 == 0) {  // odd tasks drop when approximated
+          const bool zero_sig = i % 10 == 0;
+          b.approx([&zero_sig_approx, zero_sig] {
+            if (zero_sig) zero_sig_approx.fetch_add(1);
+          });
+        }
         rt.spawn(std::move(b));
       }
       rt.spawn(sigrt::task([] { data[0] = 1; }).out(data, 64).group(g));
@@ -427,6 +433,15 @@ TEST(Runtime, GroupReportInvariantHoldsAcrossPolicies) {
       const auto def = rt.group_report(sigrt::kDefaultGroup);
       EXPECT_EQ(def.spawned, def.accurate + def.approximate + def.dropped)
           << "fence leaked into default-group spawned count";
+      if (policy == PolicyKind::Agnostic) {
+        // No decision point: every task runs its accurate body.
+        EXPECT_EQ(r.accurate, r.spawned) << "workers=" << workers;
+        EXPECT_EQ(zero_sig_approx.load(), 0) << "workers=" << workers;
+      } else {
+        // Significance 0.0 is approximate under every deciding policy.
+        EXPECT_EQ(zero_sig_approx.load(), 4)
+            << sigrt::to_string(policy) << " workers=" << workers;
+      }
     }
   }
 }

@@ -105,9 +105,9 @@ TEST(Scheduler, SingleWorkerPreservesFifoOrder) {
 }
 
 TEST(Scheduler, StealingMovesWorkOffABlockedWorker) {
-  // Round-robin parks tasks on both workers; worker 0 blocks on the first
-  // task until the "victim" tasks (parked on its own queue) are executed by
-  // the thief.  Completion therefore proves stealing works.
+  // Every task lands on worker 0, which blocks on the first one until the
+  // "victim" tasks (queued behind it) are executed by the thief.
+  // Completion therefore proves stealing works.
   std::atomic<int> done{0};
   std::atomic<bool> release{false};
   {
@@ -120,8 +120,8 @@ TEST(Scheduler, StealingMovesWorkOffABlockedWorker) {
     s.enqueue(make_ready_task([&] {
       while (!release.load()) std::this_thread::yield();
     }));
-    // These alternate 1,0,1,0...; the ones on queue 0 sit behind the
-    // blocker and must be stolen by worker 1.
+    // The 16-task routing chunk sends these to worker 0 as well: they sit
+    // behind the blocker and must be stolen by worker 1.
     for (int i = 0; i < 10; ++i) s.enqueue(make_ready_task([] {}));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -133,6 +133,43 @@ TEST(Scheduler, StealingMovesWorkOffABlockedWorker) {
     release.store(true);
     while (done.load() < 11) std::this_thread::yield();
   }
+}
+
+TEST(Scheduler, InboxSpliceOfSeveralTasksWakesAThief) {
+  // Both workers park first.  The 16-task routing chunk then sends all 16
+  // enqueues to worker 0's inbox, and the first enqueue wakes only worker
+  // 0.  If worker 0 wakes after the last enqueue (a slow wake-up, as under
+  // CPU oversubscription), it splices all 16 and runs the oldest, which
+  // blocks until the other 15 have run: only a thief woken by that splice
+  // can run them.  A faster wake-up splices fewer, and a later enqueue into
+  // the emptied inbox wakes the thief instead.
+  std::atomic<int> done{0};
+  std::atomic<bool> others_ran{false};
+  std::atomic<bool> blocker_finished{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // Built up front so the enqueues below run back to back, ahead of worker
+  // 0's wake-up.
+  std::vector<sigrt::TaskRef> tasks;
+  tasks.push_back(make_ready_task([&] {
+    while (done.load() < 15 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    others_ran.store(done.load() == 15);
+    blocker_finished.store(true);
+  }));
+  for (int i = 0; i < 15; ++i) {
+    tasks.push_back(make_ready_task([&] { done.fetch_add(1); }));
+  }
+  {
+    auto fn = [&](Task& t, unsigned) { t.accurate(); };
+    Scheduler s(2, 0, true, &fn, exec_thunk(fn));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (sigrt::TaskRef& t : tasks) s.enqueue(std::move(t));
+    while (!blocker_finished.load()) std::this_thread::yield();
+  }
+  EXPECT_TRUE(others_ran.load());
+  EXPECT_EQ(done.load(), 15);
 }
 
 TEST(Scheduler, BusyTimeAccumulates) {
