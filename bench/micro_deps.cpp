@@ -2,23 +2,26 @@
 // carries an in()/out() footprint and the dependence tracker is on the
 // critical path.
 //
-// Two workload shapes, chosen to stress the two tracker extremes:
+// Three workload shapes, chosen to stress the tracker's extremes:
 //
 //   * chain — C independent chains, each task inout() on its chain's
-//     private block: pure pipeline parallelism, one predecessor per task,
-//     maximal register/complete rate per block.
+//     private cell: pure pipeline parallelism, one predecessor per task,
+//     maximal register/complete rate per cell.
 //   * stencil — a G x G tile grid swept repeatedly; each task reads its
 //     four halo neighbours (in) and updates its own tile (inout), the
-//     jacobi/fluidanimate dependence pattern: 5-block footprints, RAW +
+//     jacobi/fluidanimate dependence pattern: 5-cell footprints, RAW +
 //     WAR + WAW edges crossing stripe boundaries.
+//   * wide_read_<N>k — listing1's footprint: each task reads one shared
+//     N KiB buffer (in) and writes its own disjoint 512 B row (out).  No
+//     task depends on another, so the cell prices a wide clause; the 4k
+//     and 256k cells show whether that price grows with the clause.
 //
 // Each shape runs at 1/4/8 workers.  Like micro_spawn, the driver counts
 // heap allocations through an instrumented global operator new and warms
 // up until a full round allocates nothing, so the steady-state
-// allocs-per-task column gates the tracker's reset-not-free contract for
-// small (<= 8-block) footprints.  Output is one JSON line
-// (BENCH_micro_deps.json in CI); any CLI arguments are accepted and
-// ignored for harness compatibility.
+// allocs-per-task column gates the tracker's reset-not-free contract.
+// Output is one JSON line (BENCH_micro_deps.json in CI); any CLI
+// arguments are accepted and ignored for harness compatibility.
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -31,12 +34,11 @@
 
 namespace {
 
-constexpr std::size_t kBlockBytes = 64;
+constexpr std::size_t kCellBytes = 64;
 
-/// One tracker block per logical cell: dependencies are exactly the ones the
-/// shape intends, never accidental same-block aliasing.
-struct alignas(kBlockBytes) Cell {
-  unsigned char bytes[kBlockBytes];
+/// One cache line per logical cell of the chain and stencil shapes.
+struct alignas(kCellBytes) Cell {
+  unsigned char bytes[kCellBytes];
 };
 
 struct DepRecord {
@@ -96,18 +98,43 @@ std::uint64_t stencil_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
   return kSweeps * kGrid * kGrid;
 }
 
+// Wide read: kWideTasks row tasks per wave behind one barrier, one
+// spawner.  `cells` holds the shared input, then the output rows.
+constexpr std::size_t kWideTasks = 510;  // listing1's rows per image
+constexpr std::size_t kWideWaves = 16;
+constexpr std::size_t kRowBytes = 512;
+
+template <std::size_t kReadBytes>
+std::size_t wide_read_cells() {
+  return (kReadBytes + kWideTasks * kRowBytes) / kCellBytes;
+}
+
+template <std::size_t kReadBytes>
+std::uint64_t wide_read_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
+  const unsigned char* in = cells.front().bytes;
+  unsigned char* rows = cells[kReadBytes / kCellBytes].bytes;
+  for (std::size_t w = 0; w < kWideWaves; ++w) {
+    for (std::size_t t = 0; t < kWideTasks; ++t) {
+      rt.spawn(sigrt::task([] {})
+                   .in(in, kReadBytes)
+                   .out(rows + t * kRowBytes, kRowBytes));
+    }
+    rt.wait_all();
+  }
+  return kWideWaves * kWideTasks;
+}
+
 template <typename Round>
 DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
                   Round round, int max_warmup) {
   sigrt::RuntimeConfig c;
   c.workers = workers;
   c.policy = sigrt::PolicyKind::Agnostic;
-  c.block_bytes = kBlockBytes;
   c.record_task_log = false;
   sigrt::Runtime rt(c);
   std::vector<Cell> cells(cell_count);
 
-  // Warm-up: populate the task pool, the tracker's stripe tables and every
+  // Warm-up: populate the task pool, the tracker's region slots and every
   // reader/dependents buffer to the workload's high-water mark, repeating
   // until a full round allocates nothing (true steady state).
   for (int r = 0; r < max_warmup; ++r) {
@@ -147,10 +174,14 @@ int main(int, char**) {
                               /*max_warmup=*/6));
     records.push_back(measure("stencil", w, kGrid * kGrid, stencil_round,
                               /*max_warmup=*/6));
+    records.push_back(measure("wide_read_4k", w, wide_read_cells<4096>(),
+                              wide_read_round<4096>, /*max_warmup=*/6));
+    records.push_back(measure("wide_read_256k", w,
+                              wide_read_cells<256 * 1024>(),
+                              wide_read_round<256 * 1024>, /*max_warmup=*/6));
   }
 
-  std::printf("{\"bench\":\"micro_deps\",\"block_bytes\":%zu,\"cells\":[",
-              kBlockBytes);
+  std::printf("{\"bench\":\"micro_deps\",\"cells\":[");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const DepRecord& r = records[i];
     std::printf(

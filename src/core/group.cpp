@@ -61,12 +61,20 @@ GroupReport TaskGroup::report() const {
   r.id = id_;
   r.name = name_;
   r.requested_ratio = ratio();
-  r.spawned = spawned_.load(std::memory_order_relaxed);
-  r.accurate = accurate_.load(std::memory_order_relaxed);
-  r.approximate = approximate_.load(std::memory_order_relaxed);
-  r.dropped = dropped_.load(std::memory_order_relaxed);
-  r.redone = redone_.load(std::memory_order_relaxed);
-  r.corrupted_detected = corrupted_detected_.load(std::memory_order_relaxed);
+  // Baseline first: the counters only go up, so totals read after it can
+  // never fall below it.
+  GroupCounts base;
+  {
+    support::MutexLock lock(baseline_mutex_);
+    base = baseline_;
+  }
+  const GroupCounts now = totals();
+  r.spawned = now.spawned - base.spawned;
+  r.accurate = now.accurate - base.accurate;
+  r.approximate = now.approximate - base.approximate;
+  r.dropped = now.dropped - base.dropped;
+  r.redone = now.redone - base.redone;
+  r.corrupted_detected = now.corrupted_detected - base.corrupted_detected;
 
   // Lazy merge of the per-worker log shards — report() is the cold path,
   // so the completion side never pays for a combined log.  The shards are
@@ -130,13 +138,23 @@ GroupReport TaskGroup::report() const {
   return r;
 }
 
+GroupCounts TaskGroup::totals() const noexcept {
+  GroupCounts c;
+  c.spawned = spawned_.load(std::memory_order_relaxed);
+  c.accurate = accurate_.load(std::memory_order_relaxed);
+  c.approximate = approximate_.load(std::memory_order_relaxed);
+  c.dropped = dropped_.load(std::memory_order_relaxed);
+  c.redone = redone_.load(std::memory_order_relaxed);
+  c.corrupted_detected = corrupted_detected_.load(std::memory_order_relaxed);
+  return c;
+}
+
 void TaskGroup::reset_stats() {
-  spawned_.store(0, std::memory_order_relaxed);
-  accurate_.store(0, std::memory_order_relaxed);
-  approximate_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  redone_.store(0, std::memory_order_relaxed);
-  corrupted_detected_.store(0, std::memory_order_relaxed);
+  const GroupCounts now = totals();
+  {
+    support::MutexLock lock(baseline_mutex_);
+    baseline_ = now;
+  }
   for (LogShard& shard : log_shards_) {
     support::MutexLock lock(shard.mutex);
     shard.log.clear();

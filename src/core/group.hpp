@@ -24,12 +24,10 @@ struct TaskRecord {
   ExecutionKind kind = ExecutionKind::Accurate;
 };
 
-/// Snapshot of a group's accounting, safe to read after a barrier.
-struct GroupReport {
-  GroupId id = kDefaultGroup;
-  std::string name;
-  double requested_ratio = 1.0;  ///< ratio() in effect when the report was taken
-
+/// A group's task counts.  The counters behind them only ever go up:
+/// TaskGroup::totals() reads them since the group was created, report()
+/// since the last reset_stats().
+struct GroupCounts {
   std::uint64_t spawned = 0;
   std::uint64_t accurate = 0;
   std::uint64_t approximate = 0;  ///< ran the approxfun body
@@ -42,6 +40,14 @@ struct GroupReport {
   /// check() rejections — silent corruptions the validator caught (whether
   /// or not redo budget remained to fix them).
   std::uint64_t corrupted_detected = 0;
+};
+
+/// Snapshot of a group's accounting, safe to read after a barrier.  The
+/// counts cover the tasks since the group's last reset_stats().
+struct GroupReport : GroupCounts {
+  GroupId id = kDefaultGroup;
+  std::string name;
+  double requested_ratio = 1.0;  ///< ratio() in effect when the report was taken
 
   /// Mean of the ratio() values in effect when each task was classified;
   /// robust to programs that retarget the ratio between phases (e.g.
@@ -130,11 +136,16 @@ class TaskGroup {
   /// the completion that drives pending to zero notifies them.
   [[nodiscard]] WaiterList& waiters() noexcept { return waiters_; }
 
-  /// Accounting snapshot (includes the inversion scan over the task log).
+  /// Accounting snapshot since the last reset_stats() (includes the
+  /// inversion scan over the task log).
   [[nodiscard]] GroupReport report() const;
 
-  /// Clears counters and the task log (not the ratio).  Must only be called
-  /// while the group has no pending tasks.
+  /// Counts since the group was created; reset_stats() does not move them.
+  [[nodiscard]] GroupCounts totals() const noexcept;
+
+  /// Starts a new report window: the current totals become the baseline
+  /// that report() subtracts, and the task log is cleared (the ratio is
+  /// kept).  Must only be called while the group has no pending tasks.
   void reset_stats();
 
  private:
@@ -150,6 +161,10 @@ class TaskGroup {
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> redone_{0};
   std::atomic<std::uint64_t> corrupted_detected_{0};
+
+  /// totals() at the last reset_stats().
+  mutable support::Mutex baseline_mutex_;
+  GroupCounts baseline_ SIGRT_GUARDED_BY(baseline_mutex_);
 
   WaiterList waiters_;
 

@@ -95,8 +95,7 @@ Runtime::Runtime(RuntimeConfig config)
     : config_(config),
       // Dependence-tracker stripes: the CPU topology recommends ~4 per
       // worker, a power of two within the tracker's mask-width ceiling.
-      tracker_(config.block_bytes,
-               topo::system_topology().recommended_stripes(config.workers)),
+      tracker_(topo::system_topology().recommended_stripes(config.workers)),
       group_table_(new std::atomic<TaskGroup*>[kGroupFastTableSize]),
       start_ns_(support::now_ns()) {
   for (std::size_t i = 0; i < kGroupFastTableSize; ++i) {
@@ -786,14 +785,16 @@ RuntimeStats Runtime::stats() const {
   RuntimeStats s;
   {
     support::ReaderLock lock(groups_mutex_);
+    // The raw counters, which only go up: a group's reset_stats() only
+    // moves the baseline its own report() subtracts.
     for (const auto& g : groups_) {
-      const GroupReport r = g->report();
-      s.spawned += r.spawned;
-      s.accurate += r.accurate;
-      s.approximate += r.approximate;
-      s.dropped += r.dropped;
-      s.redone += r.redone;
-      s.corrupted_detected += r.corrupted_detected;
+      const GroupCounts c = g->totals();
+      s.spawned += c.spawned;
+      s.accurate += c.accurate;
+      s.approximate += c.approximate;
+      s.dropped += c.dropped;
+      s.redone += c.redone;
+      s.corrupted_detected += c.corrupted_detected;
     }
   }
   const SchedulerStats sched = scheduler_->stats();

@@ -74,7 +74,10 @@
 
 namespace sigrt {
 
-/// Aggregate runtime counters (see GroupReport for per-group accounting).
+/// Aggregate runtime counters since construction (see GroupReport for
+/// per-group accounting).  Every count only goes up — a group's
+/// reset_stats() does not move it — so the difference of two snapshots
+/// counts the work between them.
 struct RuntimeStats {
   std::uint64_t spawned = 0;
   std::uint64_t accurate = 0;

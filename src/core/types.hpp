@@ -70,9 +70,6 @@ struct RuntimeConfig {
   /// Enable work stealing between worker queues.
   bool steal = true;
 
-  /// Block granularity of the dependence tracker (power of two, bytes).
-  std::size_t block_bytes = 1024;
-
   /// Record a per-task (significance, kind) log used for Table 2's
   /// significance-inversion and ratio-deviation metrics.  Negligible cost;
   /// disable for overhead measurements of the bare scheduler.

@@ -1,48 +1,47 @@
 #include "dep/block_tracker.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace sigrt::dep {
 
-BlockTracker::BlockTracker(std::size_t block_bytes, unsigned stripes)
-    : block_bytes_(block_bytes),
-      block_shift_(static_cast<unsigned>(std::countr_zero(block_bytes))),
-      stripe_count_(stripes == 0 ? kMaxStripes : stripes),
-      stripe_shift_(64u - static_cast<unsigned>(
-                              std::countr_zero(stripe_count_ == 0
-                                                   ? kMaxStripes
-                                                   : stripe_count_))),
+BlockTracker::BlockTracker(unsigned stripes)
+    : stripe_count_(stripes == 0 ? kMaxStripes : stripes),
+      stripe_bits_(static_cast<unsigned>(std::countr_zero(stripe_count_))),
       all_stripes_mask_(stripe_count_ >= 64
                             ? ~std::uint64_t{0}
                             : (std::uint64_t{1} << stripe_count_) - 1) {
-  assert(block_bytes > 0 && std::has_single_bit(block_bytes) &&
-         "block size must be a power of two");
   assert(stripe_count_ >= 1 && stripe_count_ <= kMaxStripes &&
          std::has_single_bit(stripe_count_) &&
          "stripe count must be a power of two in [1, kMaxStripes]");
 }
 
-std::uint64_t BlockTracker::first_block(const void* ptr) const noexcept {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(ptr)) >>
-         block_shift_;
-}
-
-std::uint64_t BlockTracker::last_block(const void* ptr,
-                                       std::size_t bytes) const noexcept {
-  const auto base = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(ptr));
-  const std::uint64_t end = base + (bytes == 0 ? 0 : bytes - 1);
-  return end >> block_shift_;
-}
-
 std::uint64_t BlockTracker::stripe_mask(std::uint64_t lo,
                                         std::uint64_t hi) const noexcept {
-  if (hi - lo + 1 >= stripe_count_) return all_stripes_mask_;
+  const std::uint64_t first = lo >> kGranuleShift;
+  const std::uint64_t last = (hi - 1) >> kGranuleShift;
+  if (last - first + 1 >= stripe_count_) return all_stripes_mask_;
   std::uint64_t mask = 0;
-  for (std::uint64_t b = lo; b <= hi; ++b) {
-    mask |= std::uint64_t{1} << stripe_of(b);
+  for (std::uint64_t g = first; g <= last; ++g) {
+    mask |= std::uint64_t{1} << stripe_of(g);
   }
   return mask;
+}
+
+bool BlockTracker::owns(unsigned s, std::uint64_t lo,
+                        std::uint64_t hi) const noexcept {
+  const std::uint64_t m = stripe_count_ - 1;
+  const std::uint64_t last = (hi - 1) >> kGranuleShift;
+  // Granules g..end lie in one aligned run, where they take consecutive
+  // stripes (mod stripe_count_) from stripe_of(g) on.  The second piece is
+  // either a whole run or the range's end, so this loops at most twice.
+  for (std::uint64_t g = lo >> kGranuleShift;;) {
+    const std::uint64_t end = std::min(last, g | m);
+    if (((std::uint64_t{s} - stripe_of(g)) & m) <= end - g) return true;
+    if (end == last) return false;
+    g = end + 1;
+  }
 }
 
 void BlockTracker::lock_stripes(std::uint64_t mask) noexcept {
@@ -53,10 +52,97 @@ void BlockTracker::lock_stripes(std::uint64_t mask) noexcept {
   }
 }
 
-void BlockTracker::unlock_stripes(std::uint64_t mask) noexcept {
-  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-    stripes_[static_cast<unsigned>(std::countr_zero(m))].lock.unlock();
+std::size_t BlockTracker::first_after(Stripe& st, std::uint64_t addr) {
+  // A region starting at addr is the answer: the one before it ends at or
+  // below addr.
+  std::uint32_t& hint =
+      st.hints[(addr * 0x9E3779B97F4A7C15ULL) >> (64 - std::countr_zero(kHints))];
+  if (hint < st.bounds.size() && st.bounds[hint].lo == addr) return hint;
+  // Branch-free binary search: the halving step is arithmetic, so a lookup
+  // costs no mispredicted branches.
+  const Bounds* base = st.bounds.data();
+  std::size_t n = st.bounds.size();
+  if (n == 0) return 0;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base += static_cast<std::size_t>(base[half - 1].hi <= addr) * half;
+    n -= half;
   }
+  const std::size_t i =
+      static_cast<std::size_t>(base - st.bounds.data()) + (base->hi <= addr);
+  hint = static_cast<std::uint32_t>(i);
+  return i;
+}
+
+BlockTracker::Region& BlockTracker::insert(Stripe& st, std::size_t i,
+                                           std::uint64_t lo, std::uint64_t hi) {
+  std::vector<Node*> readers;
+  if (!st.spare.empty()) {
+    readers.swap(st.spare.back());
+    st.spare.pop_back();
+  }
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  st.bounds.insert(st.bounds.begin() + at, Bounds{lo, hi});
+  // Moving regions up moves their reader lists' buffers; nothing is freed.
+  return *st.regions.insert(st.regions.begin() + at,
+                            Region{nullptr, std::move(readers)});
+}
+
+void BlockTracker::erase(Stripe& st, std::size_t i) {
+  Region& r = st.regions[i];
+  if (r.readers.capacity() != 0) {
+    r.readers.clear();
+    st.spare.push_back(std::move(r.readers));
+  }
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  st.bounds.erase(st.bounds.begin() + at);
+  st.regions.erase(st.regions.begin() + at);
+}
+
+void BlockTracker::split(Stripe& st, std::size_t i, std::uint64_t at,
+                         Pins& pins) {
+  const std::uint64_t hi = st.bounds[i].hi;
+  st.bounds[i].hi = at;
+  Region& copy = insert(st, i + 1, at, hi);
+  const Region& orig = st.regions[i];  // after insert: it may reallocate
+  copy.writer = orig.writer;
+  copy.readers = orig.readers;
+  if (copy.writer != nullptr) pins.add(copy.writer);
+  for (Node* r : copy.readers) pins.add(r);
+}
+
+bool BlockTracker::merge_into_prev(Stripe& st, std::size_t i, Pins& pins) {
+  if (st.bounds[i - 1].hi != st.bounds[i].lo) return false;
+  const Region& a = st.regions[i - 1];
+  const Region& b = st.regions[i];
+  if (is_vacant(b) || a.writer != b.writer || a.readers != b.readers) {
+    return false;
+  }
+  st.bounds[i - 1].hi = st.bounds[i].hi;
+  if (b.writer != nullptr) pins.drop(b.writer);
+  for (Node* r : b.readers) pins.drop(r);
+  erase(st, i);
+  return true;
+}
+
+void BlockTracker::sweep(Stripe& st) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < st.regions.size(); ++i) {
+    Region& r = st.regions[i];
+    if (is_vacant(r)) {
+      if (r.readers.capacity() != 0) st.spare.push_back(std::move(r.readers));
+      continue;
+    }
+    if (kept != i) {
+      st.bounds[kept] = st.bounds[i];
+      st.regions[kept] = std::move(r);
+    }
+    ++kept;
+  }
+  const auto end = static_cast<std::ptrdiff_t>(kept);
+  st.bounds.erase(st.bounds.begin() + end, st.bounds.end());
+  st.regions.erase(st.regions.begin() + end, st.regions.end());
+  st.vacant = 0;
 }
 
 bool BlockTracker::link(Node* pred, Node* succ, std::uint64_t stamp) {
@@ -81,8 +167,85 @@ bool BlockTracker::link(Node* pred, Node* succ, std::uint64_t stamp) {
   return added;
 }
 
+std::size_t BlockTracker::record(unsigned s, std::uint64_t lo, std::uint64_t hi,
+                                 Mode mode, std::uint64_t stamp, Pins& pins) {
+  Stripe& st = stripes_[s];
+  Node* const node = pins.self;
+  std::size_t edges = 0;
+  std::size_t i = first_after(st, lo);
+  // A region straddling the clause's start splits there; one straddling
+  // its end splits when the walk reaches it.
+  if (i < st.regions.size() && st.bounds[i].lo < lo) {
+    if (is_vacant(st.regions[i])) {
+      st.bounds[i].lo = lo;  // the part cut off held no history
+    } else {
+      split(st, i++, lo, pins);
+    }
+  }
+  for (std::uint64_t cur = lo; cur < hi;) {
+    const bool gap = i == st.regions.size() || st.bounds[i].lo > cur;
+    if (gap || is_vacant(st.regions[i])) {
+      // No history here: the node parks in a fresh region, or takes over
+      // a vacant one trimmed to the clause.
+      Region* r = nullptr;
+      if (gap) {
+        const std::uint64_t end =
+            i == st.regions.size() ? hi : std::min(hi, st.bounds[i].lo);
+        r = &insert(st, i, cur, end);
+      } else {
+        r = &st.regions[i];
+        if (st.bounds[i].hi > hi) st.bounds[i].hi = hi;
+        --st.vacant;
+      }
+      if (writes(mode)) {
+        r->writer = node;
+      } else {
+        r->readers.push_back(node);
+      }
+      ++pins.parks;
+    } else {
+      if (st.bounds[i].hi > hi) split(st, i, hi, pins);
+      Region& r = st.regions[i];
+      // Edges come only from a region holding a byte of this stripe's own
+      // granules; the other bytes' stripes derive theirs.
+      const bool derive =
+          (r.writer != nullptr || (writes(mode) && !r.readers.empty())) &&
+          owns(s, st.bounds[i].lo, st.bounds[i].hi);
+      // RAW (a read) or WAW (a write) on the last writer.
+      if (derive && link(r.writer, node, stamp)) ++edges;
+      if (writes(mode)) {
+        // WAR: link each reader, then drop its pin.  A reader pin parked by
+        // an earlier clause of this same registration only adjusts parks.
+        for (Node* reader : r.readers) {
+          if (derive && link(reader, node, stamp)) ++edges;
+          pins.drop(reader);
+        }
+        r.readers.clear();
+        // A later write clause of this same registration may find the node
+        // already parked as this region's writer; that pin stands.
+        if (r.writer != node) {
+          if (r.writer != nullptr) pins.drop(r.writer);
+          r.writer = node;
+          ++pins.parks;
+        }
+      } else if (r.readers.empty() || r.readers.back() != node) {
+        // Within one registration the node's own reader entries are always
+        // last, so this skips a second read clause over the same bytes.
+        r.readers.push_back(node);
+        ++pins.parks;
+      }
+    }
+    cur = st.bounds[i].hi;
+    if (i == 0 || !merge_into_prev(st, i, pins)) ++i;
+  }
+  // The clause's last region may now equal the region after it.
+  if (i > 0 && i < st.regions.size()) merge_into_prev(st, i, pins);
+  return edges;
+}
+
 std::size_t BlockTracker::register_node(Node* node,
                                         std::span<const Access> accesses) {
+  assert(node->ranges_.empty() && "a node registers once per life");
   // Stamps are process-unique (never reused, never 0), so concurrent
   // registrations stamping the same predecessor can at worst miss a
   // de-duplication — a harmless duplicate edge whose gate arithmetic still
@@ -90,90 +253,61 @@ std::size_t BlockTracker::register_node(Node* node,
   const std::uint64_t stamp = stamp_.fetch_add(1, std::memory_order_relaxed);
   registered_nodes_.fetch_add(1, std::memory_order_relaxed);
 
-  // Pass 1 (no locks): the stripe set of the whole footprint.
+  // Pass 1 (no locks): the clause ranges and the footprint's stripe set.
   std::uint64_t mask = 0;
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    mask |= stripe_mask(first_block(a.ptr), last_block(a.ptr, a.bytes));
+    const auto lo =
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(a.ptr));
+    const std::uint64_t hi = lo + a.bytes;
+    const std::uint64_t stripes = stripe_mask(lo, hi);
+    node->ranges_.push_back({lo, hi, stripes, 0});
+    mask |= stripes;
   }
   if (mask == 0) return 0;
+  std::uint64_t later = 0;
+  for (auto r = node->ranges_.rbegin(); r != node->ranges_.rend(); ++r) {
+    r->last_use = r->stripes & ~later;
+    later |= r->stripes;
+  }
 
-  // Pass 2: hold every involved stripe for the duration so conflicting
-  // registrations serialize in one consistent order across all shared
-  // blocks (pairwise edges can then never form a cycle).
+  // A registration that takes a stripe this one released early (below) may
+  // split or displace this node's pins before its last clause is done; a
+  // surplus hold on the pin count (and the shared reference it stands for)
+  // keeps those early updates from reaching zero.
+  constexpr std::uint32_t kPinHold = 1u << 30;
+  node->ref_retain();
+  node->pin_count_.fetch_add(kPinHold, std::memory_order_relaxed);
+
+  // Pass 2: take every involved stripe, in ascending order, before
+  // touching any, so conflicting registrations serialize in one consistent
+  // order across all shared stripes (pairwise edges can then never form a
+  // cycle).  Once all are held, a stripe is released right after the last
+  // clause recorded there: no lock is taken after one is dropped, so that
+  // order stands, and completions need not wait for the whole footprint.
   lock_stripes(mask);
 
+  Pins pins{node};
   std::size_t predecessors = 0;
-  std::uint64_t new_edges = 0;
-  std::int64_t parks = 0;
+  const Node::Range* range = node->ranges_.data();
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    const std::uint64_t lo = first_block(a.ptr);
-    const std::uint64_t hi = last_block(a.ptr, a.bytes);
-    for (std::uint64_t b = lo; b <= hi; ++b) {
-      Stripe& stripe = stripes_[stripe_of(b)];
-      bool inserted = false;
-      BlockState& state = stripe.map.get_or_insert(b, inserted);
-      if (inserted) ++stripe.blocks_ever;
-
-      if (reads(a.mode)) {
-        // RAW: reader after writer.
-        if (link(state.last_writer, node, stamp)) {
-          ++predecessors;
-          ++new_edges;
-        }
-      }
-      if (writes(a.mode)) {
-        // WAW: writer after writer.
-        if (link(state.last_writer, node, stamp)) {
-          ++predecessors;
-          ++new_edges;
-        }
-        // WAR: writer after readers — link each, then drop its pin.  A
-        // reader pin parked by an earlier access of this same registration
-        // is displaced by adjusting the local park count, not the shared
-        // reference.
-        state.for_each_reader([&](Node* r) {
-          if (r == node) {
-            --parks;
-            return;
-          }
-          if (link(r, node, stamp)) {
-            ++predecessors;
-            ++new_edges;
-          }
-          unpin(r);
-        });
-        state.clear_readers();
-        // A later write clause of this same registration may find the node
-        // already parked as this block's writer; the existing pin stands
-        // (unpin here would transiently underflow the not-yet-published
-        // pin count).
-        if (state.last_writer != node) {
-          if (state.last_writer != nullptr) unpin(state.last_writer);
-          state.last_writer = node;
-          ++parks;
-          node->touched_blocks_.push_back(b);
-        }
-      } else {
-        state.add_reader(node);
-        ++parks;
-        node->touched_blocks_.push_back(b);
-      }
+    for (std::uint64_t m = range->stripes; m != 0; m &= m - 1) {
+      predecessors += record(static_cast<unsigned>(std::countr_zero(m)),
+                             range->lo, range->hi, a.mode, stamp, pins);
     }
+    for (std::uint64_t m = range->last_use; m != 0; m &= m - 1) {
+      stripes_[static_cast<unsigned>(std::countr_zero(m))].lock.unlock();
+    }
+    ++range;
   }
+  // Trade the hold for the pins actually parked.
+  assert(pins.parks > 0 && pins.parks < kPinHold);
+  unpin(node, kPinHold - static_cast<std::uint32_t>(pins.parks));
 
-  // One retained reference backs every pin of this registration; the pin
-  // count is published before the stripe locks drop, so any later
-  // displacement finds it in place.
-  if (parks > 0) {
-    node->ref_retain();
-    node->pin_count_.fetch_add(static_cast<std::uint32_t>(parks),
-                               std::memory_order_relaxed);
+  if (predecessors != 0) {
+    edges_.fetch_add(predecessors, std::memory_order_relaxed);
   }
-
-  unlock_stripes(mask);
-  if (new_edges != 0) edges_.fetch_add(new_edges, std::memory_order_relaxed);
   return predecessors;
 }
 
@@ -190,78 +324,72 @@ void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
   node.dependents_.clear();
   node.dep_lock_.unlock();
 
-  // Phase 2 — unpin: drop every block-map pin still naming this node, one
+  // Phase 2 — unpin: drop every region pin still naming this node, one
   // stripe at a time, so the tracker holds no pointer to it afterwards
   // (pooled tasks recycle promptly; plain test nodes may be destroyed).
-  // touched_blocks_ may hold duplicates and blocks where the pin was
-  // already displaced by a later writer — both are no-ops here.  A
-  // registration that meanwhile finds a still-parked pin sees done_ and
-  // links nothing.
-  if (node.touched_blocks_.empty()) return;
+  // The node's regions lie inside its clause ranges — splits only cut
+  // them finer — and a displaced pin simply is not found.  A registration
+  // that meanwhile finds a still-parked pin sees done_ and links nothing.
   std::uint64_t mask = 0;
-  for (const std::uint64_t b : node.touched_blocks_) {
-    mask |= std::uint64_t{1} << stripe_of(b);
-  }
+  for (const Node::Range& range : node.ranges_) mask |= range.stripes;
+  Pins pins{&node};
   for (std::uint64_t m = mask; m != 0; m &= m - 1) {
     const auto s = static_cast<unsigned>(std::countr_zero(m));
-    Stripe& stripe = stripes_[s];
-    stripe.lock.lock();
-    for (const std::uint64_t b : node.touched_blocks_) {
-      if (stripe_of(b) != s) continue;
-      BlockState* state = stripe.map.find(b);
-      if (state == nullptr) continue;  // reset() dropped the block
-      if (state->last_writer == &node) {
-        state->last_writer = nullptr;
-        unpin(&node);
+    Stripe& st = stripes_[s];
+    st.lock.lock();
+    for (const Node::Range& range : node.ranges_) {
+      if ((range.stripes >> s & 1) == 0) continue;
+      std::size_t i = first_after(st, range.lo);
+      bool changed = false;
+      while (i < st.regions.size() && st.bounds[i].lo < range.hi) {
+        Region& r = st.regions[i];
+        changed = false;
+        if (r.writer == &node) {
+          r.writer = nullptr;
+          pins.drop(&node);
+          changed = true;
+        }
+        // Parked at most once per region as a reader.
+        const auto it = std::find(r.readers.begin(), r.readers.end(), &node);
+        if (it != r.readers.end()) {
+          *it = r.readers.back();
+          r.readers.pop_back();
+          pins.drop(&node);
+          changed = true;
+        }
+        if (changed && is_vacant(r)) {
+          // Left in place for the next clause over these bytes to take.
+          ++st.vacant;
+          changed = false;
+          ++i;
+        } else if (!changed || i == 0 || !merge_into_prev(st, i, pins)) {
+          ++i;
+        }
       }
-      // Parked at most once per block per role.
-      if (state->remove_reader(&node)) unpin(&node);
+      // The last region touched may now equal the region after it.
+      if (changed && i < st.regions.size()) merge_into_prev(st, i, pins);
     }
-    stripe.lock.unlock();
+    // Vacant regions are erased in bulk once they outnumber the live ones,
+    // so the map stays within twice its live size (plus kSweepAt).
+    if (st.vacant >= kSweepAt && 2 * st.vacant > st.regions.size()) sweep(st);
+    st.lock.unlock();
   }
-  node.touched_blocks_.clear();
-}
-
-std::vector<Node*> BlockTracker::pending_writers(const void* ptr,
-                                                 std::size_t bytes) {
-  std::vector<Node*> result;
-  if (ptr == nullptr || bytes == 0) return result;
-  const std::uint64_t stamp = stamp_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t lo = first_block(ptr);
-  const std::uint64_t hi = last_block(ptr, bytes);
-  // One linear pass over the range, re-locking only when the block's
-  // stripe changes.  At most one stripe lock is held at a time, so the
-  // visit order (block order, not ascending stripe order) cannot deadlock.
-  Stripe* locked = nullptr;
-  for (std::uint64_t b = lo; b <= hi; ++b) {
-    Stripe& stripe = stripes_[stripe_of(b)];
-    if (&stripe != locked) {
-      if (locked != nullptr) locked->lock.unlock();
-      stripe.lock.lock();
-      locked = &stripe;
-    }
-    BlockState* state = stripe.map.find(b);
-    if (state == nullptr) continue;
-    Node* w = state->last_writer;
-    if (w != nullptr && !w->done_.load(std::memory_order_acquire) &&
-        w->visit_stamp_.load(std::memory_order_relaxed) != stamp) {
-      w->visit_stamp_.store(stamp, std::memory_order_relaxed);
-      result.push_back(w);
-    }
-  }
-  if (locked != nullptr) locked->lock.unlock();
-  return result;
+  node.ranges_.clear();
+  // The node's own pins drop in one RMW.  Until then its count reads
+  // high, never low, so a racing displacement cannot release it early.
+  if (pins.parks < 0) unpin(&node, static_cast<std::uint32_t>(-pins.parks));
 }
 
 void BlockTracker::reset() {
   // Precondition: no registered node is still pending, so every pin was
-  // already dropped by complete() — the map entries reference nothing and
-  // are simply forgotten.  Never-completed nodes (test-owned) lose their
-  // no-op pins without being touched.
-  for (Stripe& stripe : stripes_) {
-    stripe.lock.lock();
-    stripe.map.clear();
-    stripe.lock.unlock();
+  // already dropped by complete() — the regions reference nothing and are
+  // simply forgotten.  Never-completed nodes (test-owned) lose their no-op
+  // pins without being touched.
+  for (Stripe& st : stripes_) {
+    st.lock.lock();
+    while (!st.regions.empty()) erase(st, st.regions.size() - 1);
+    st.vacant = 0;
+    st.lock.unlock();
   }
 }
 
@@ -269,10 +397,10 @@ TrackerStats BlockTracker::stats() const {
   TrackerStats s;
   s.registered_nodes = registered_nodes_.load(std::memory_order_relaxed);
   s.edges = edges_.load(std::memory_order_relaxed);
-  for (const Stripe& stripe : stripes_) {
-    stripe.lock.lock();
-    s.blocks_touched += stripe.blocks_ever;
-    stripe.lock.unlock();
+  for (const Stripe& st : stripes_) {
+    st.lock.lock();
+    s.live_regions += st.regions.size() - st.vacant;
+    st.lock.unlock();
   }
   return s;
 }

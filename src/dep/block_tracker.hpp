@@ -1,28 +1,60 @@
-// Block-level dynamic dependence analysis.
+// Byte-range dynamic dependence analysis.
 //
 // The paper's runtime extends BDDT [23], which discovers inter-task
-// dependencies at block granularity from the programmer's in()/out()
-// clauses.  This module reimplements that substrate: memory is viewed as
-// fixed-size blocks; for every block the tracker remembers the last writer
-// and the readers since that write, and derives RAW, WAR and WAW edges when
-// a new task registers its footprint.
+// dependencies from the programmer's in()/out() clauses.  This module keeps
+// BDDT's rules — for every location the last writer and the readers since
+// that write; RAW, WAR and WAW edges derived when a new task registers its
+// footprint — but applies them to exact byte ranges rather than fixed-size
+// blocks, splitting regions at clause boundaries the way Nanos6's region
+// dependency system does (Perez et al., "Improving the integration of task
+// nesting and dependencies in OpenMP", IPDPS 2017).  Two clauses conflict
+// exactly when their bytes overlap and one of them writes, and a clause
+// costs one region operation per stripe it touches, whatever its length.
 //
 // The tracker is policy-agnostic: it neither schedules nor executes.  The
-// runtime registers each task at spawn time (master thread) and notifies
-// completion from worker threads.  Unlike the paper's single bookkeeping
-// lock (§3.4 argues one is acceptable for coarse tasks), this tracker is
-// striped and mostly lock-free so fine-grained dependent workloads scale:
+// runtime registers each task at spawn time and notifies completion from
+// worker threads.  Unlike the paper's single bookkeeping lock (§3.4 argues
+// one is acceptable for coarse tasks), the tracker is striped so that
+// fine-grained dependent workloads scale:
 //
-//   * The block map is sharded into kStripes cache-line-padded stripes by
-//     a hash of the block index; each stripe owns an open-addressed flat
-//     table (support::FlatBlockMap) whose BlockStates are reset, never
-//     freed, preserving the zero-allocation steady state.
-//   * register_node() computes the stripe set of the whole footprint up
-//     front and holds those stripe locks — acquired in ascending stripe
-//     order — for the duration of the registration.  Conflicting
-//     registrations therefore serialize in one consistent order across
-//     every shared block, which is what keeps the discovered task graph
-//     acyclic; disjoint footprints proceed in parallel.
+//   * Stripes.  Addresses are hashed onto stripes at a fixed internal
+//     granule (kGranuleBytes).  A clause's stripe set is the stripes of the
+//     granules it covers; a clause covering at least stripe-count granules
+//     takes every stripe.  Within each aligned run of stripe-count granules
+//     the stripes are a rotation (every stripe once); the rotation is a
+//     Fibonacci hash of the run index, so separate buffers scatter.
+//   * Regions.  Each stripe holds an ordered map of disjoint byte regions
+//     [lo, hi), each with a last writer and a reader list.  A clause is
+//     recorded with its whole byte range in every stripe of its set: it
+//     splits the stripe's regions at its two ends, updates every region it
+//     overlaps and fills the gaps with new regions.  Neighbours left with
+//     equal state merge again.  A region that no longer holds a writer or
+//     a reader is vacant: it counts as erased (it pins nothing and is no
+//     live region), and its slot stays in place for the next clause over
+//     the same bytes, so a recurring footprint does not reshape the map.
+//     Vacant regions are swept out in bulk once they outnumber the live
+//     ones, so a map holds only the fragments of clauses in flight plus a
+//     bounded slack.  Reader lists are reset, never freed, preserving the
+//     zero-allocation steady state.
+//   * Authority.  A stripe is authoritative for the bytes of its own
+//     granules: every clause covering such a byte is recorded there, so its
+//     regions hold that byte's exact history.  Edges are derived only from
+//     a region containing such a byte.  The bytes of other granules that a
+//     wide clause carries into the stripe update state but derive nothing —
+//     their own stripe derives those edges — so the predecessor set is
+//     exactly that of one global byte-range map.
+//   * Locking.  register_node() computes the stripe set of the whole
+//     footprint up front and takes those stripe locks in ascending stripe
+//     order before touching any of them.  Conflicting registrations
+//     therefore serialize in one consistent order across every shared
+//     stripe, which is what keeps the discovered task graph acyclic;
+//     disjoint footprints proceed in parallel.  Once all are held, each
+//     stripe is released right after the node's last clause recorded there
+//     (two-phase locking: no lock is taken after one is dropped, so the
+//     order stands), so completions do not wait for a wide footprint's
+//     last stripe.  complete() visits the stripes of the node's clause
+//     ranges one at a time and looks its regions up by those ranges, so it
+//     also finds the fragments that later splits created.
 //   * Per-node dependence state lives outside the stripe locks: an atomic
 //     done_ flag and a spinlocked dependents_ list implement a
 //     publish/observe protocol (see "Node-state protocol" below) so that
@@ -31,12 +63,12 @@
 //
 // Node-state protocol.  complete() first acquires the node's dep_lock_,
 // stores done_ = true (release) and harvests the dependents list; only
-// then does it visit the stripes to drop the node's block-map pins.  A
-// racing link() checks done_ (acquire) before and after taking the same
+// then does it visit the stripes to drop the node's region pins.  A racing
+// link() checks done_ (acquire) before and after taking the same
 // dep_lock_: if it observes done_, the predecessor's side effects are
 // already visible (the acquire pairs with complete's release) and no edge
-// is needed; otherwise the append happens under the lock and complete()
-// is guaranteed to harvest it.  An edge is counted in register_node()'s
+// is needed; otherwise the append happens under the lock and complete() is
+// guaranteed to harvest it.  An edge is counted in register_node()'s
 // return value exactly when the corresponding dependents entry was
 // appended, so the caller's gate arithmetic always balances.
 //
@@ -47,19 +79,20 @@
 //
 // Lifetime: the tracker circulates raw Node* and pins nodes through the
 // intrusive ref_retain()/ref_release() hooks — one shared reference
-// covering all of a registration's block-map pins (last writer / reader
-// slots, counted by Node::pin_count_) and one reference per
-// dependents-list entry.
-// complete() removes every block-map pin of the completing node (each node
-// remembers which blocks it touched), so after complete() returns the
-// tracker holds no pointer to it.  For sigrt::Task the hooks drive the
-// pooled intrusive refcount; for plain Nodes (tests) they default to
-// no-ops and the caller must keep a registered node alive until it
-// completes (the tracker may read it on any later registration of an
-// overlapping range).  The destructor drops any remaining map entries
-// without touching the nodes: with every registered node completed (the
-// runtime barriers before teardown) there are none, and never-completed
-// test nodes are simply forgotten.
+// covering all of a node's region pins (one per region naming it as writer
+// or reader, counted by Node::pin_count_; a split that copies a writer or
+// readers adds pins under the stripe lock, a merge drops them, and a
+// surplus hold keeps the count above zero until the node's own
+// registration has counted its pins) and one reference per
+// dependents-list entry.  complete() removes every region pin
+// of the completing node, so after complete() returns the tracker holds no
+// pointer to it.  For sigrt::Task the hooks drive the pooled intrusive
+// refcount; for plain Nodes (tests) they default to no-ops and the caller
+// must keep a registered node alive until it completes (the tracker may
+// read it on any later registration of an overlapping range).  The
+// destructor drops any remaining regions without touching the nodes: with
+// every registered node completed (the runtime barriers before teardown)
+// there are none, and never-completed test nodes are simply forgotten.
 #pragma once
 
 #include <array>
@@ -68,7 +101,6 @@
 #include <span>
 #include <vector>
 
-#include "support/flat_block_map.hpp"
 #include "support/spinlock.hpp"
 
 namespace sigrt::dep {
@@ -111,15 +143,15 @@ template <typename T>
 /// Participant in dependence tracking.  sigrt::Task derives from this.
 /// done_ and dependents_ are the publish/observe half of the protocol in
 /// the header comment (dep_lock_ + atomics, touched by link/complete from
-/// any thread); touched_blocks_ is only ever written by the registering
-/// thread and read by the completing one, which the runtime orders through
-/// the task's publication to the scheduler.
+/// any thread); ranges_ is only ever written by the registering thread and
+/// read by the completing one, which the runtime orders through the task's
+/// publication to the scheduler.
 class Node {
  public:
   virtual ~Node() = default;
 
   /// Lifetime hooks: the tracker retains a node for as long as it appears
-  /// in dependence state (block map or a dependents list) and releases it
+  /// in dependence state (a region or a dependents list) and releases it
   /// when that slot is dropped or handed to the caller.  Defaults are
   /// no-ops so standalone Nodes (tests) need no refcount — their owner
   /// keeps them alive until complete().
@@ -138,7 +170,7 @@ class Node {
   void reset_dep_state() noexcept SIGRT_NO_THREAD_SAFETY_ANALYSIS {
     for (Node* d : dependents_) d->ref_release();
     dependents_.clear();
-    touched_blocks_.clear();
+    ranges_.clear();
     visit_stamp_.store(0, std::memory_order_relaxed);
     pin_count_.store(0, std::memory_order_relaxed);
     done_.store(false, std::memory_order_relaxed);
@@ -146,6 +178,16 @@ class Node {
 
  private:
   friend class BlockTracker;
+
+  /// One registered clause: its bytes [lo, hi), the stripes that recorded
+  /// it, and those of them no later clause of the node records in.
+  struct Range {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::uint64_t stripes;
+    std::uint64_t last_use;
+  };
+
   /// Guards dependents_ and the done_ publish edge (node-state protocol).
   support::SpinLock dep_lock_;
   /// Set (release) under dep_lock_ by complete(); read lock-free (acquire)
@@ -153,17 +195,18 @@ class Node {
   std::atomic<bool> done_{false};
   /// Successors; one retained ref each.
   std::vector<Node*> dependents_ SIGRT_GUARDED_BY(dep_lock_);
-  /// Blocks where this node may still be parked as writer/reader (possibly
-  /// with duplicates); complete() walks it to drop the block-map pins.
-  std::vector<std::uint64_t> touched_blocks_;
-  /// De-duplication during one registration / pending_writers scan; stamp
-  /// values are process-unique, so a stale stamp can never false-positive.
+  /// The clause ranges this node registered; complete() looks its region
+  /// pins up by them.
+  std::vector<Range> ranges_;
+  /// De-duplication during one registration; stamp values are
+  /// process-unique, so a stale stamp can never false-positive.
   std::atomic<std::uint64_t> visit_stamp_{0};
-  /// Live block-map pins.  All pins of one registration share a single
-  /// retained reference: register_node() counts its parks and retains
-  /// once; whoever drops a pin (a displacing writer, complete() phase 2)
+  /// Live region pins.  All pins share a single retained reference:
+  /// register_node() retains once under a surplus hold and trades the hold
+  /// for its parks at the end; whoever adds a pin (a split) increments,
+  /// whoever drops one (a displacing writer, a merge, complete() phase 2)
   /// decrements, and the count's zero crossing releases the shared
-  /// reference.  This keeps the per-block cost to one relaxed RMW instead
+  /// reference.  This keeps the per-region cost to one relaxed RMW instead
   /// of two virtual refcount hooks.
   std::atomic<std::uint32_t> pin_count_{0};
 };
@@ -171,8 +214,8 @@ class Node {
 /// Aggregate counters for tests and diagnostics.
 struct TrackerStats {
   std::uint64_t registered_nodes = 0;
-  std::uint64_t edges = 0;          // dependency edges discovered
-  std::uint64_t blocks_touched = 0; // distinct blocks ever observed
+  std::uint64_t edges = 0;         // dependency edges discovered
+  std::uint64_t live_regions = 0;  // regions holding a writer or reader now
 };
 
 class BlockTracker {
@@ -181,12 +224,24 @@ class BlockTracker {
   /// uint64 mask, which makes sorted-order multi-stripe locking a ctz loop.
   static constexpr unsigned kMaxStripes = 64;
 
-  /// `block_bytes` must be a power of two.  `stripes` selects the live
-  /// stripe count — a power of two in [1, kMaxStripes]; 0 selects the
-  /// ceiling.  Small machines waste no cache walking 64 mostly-empty
-  /// shards; the runtime derives its value from the CPU topology
-  /// (~4 stripes per worker, see topo::Topology::recommended_stripes).
-  explicit BlockTracker(std::size_t block_bytes = 1024, unsigned stripes = 0);
+  /// Address granule of the stripe hash (a cache line): cells of one array
+  /// spread over stripes, and a clause of stripe-count granules or more
+  /// takes every stripe.  It only selects locks; dependences are exact.
+  static constexpr unsigned kGranuleShift = 6;
+  static constexpr std::size_t kGranuleBytes = std::size_t{1} << kGranuleShift;
+
+  /// Vacant regions a stripe keeps for reuse before it sweeps them.
+  static constexpr std::size_t kSweepAt = 32;
+
+  /// Lookup hints per stripe (a power of two).
+  static constexpr unsigned kHints = 32;
+
+  /// `stripes` selects the live stripe count — a power of two in
+  /// [1, kMaxStripes]; 0 selects the ceiling.  Small machines waste no
+  /// cache walking 64 mostly-empty shards; the runtime derives its value
+  /// from the CPU topology (~4 stripes per worker, see
+  /// topo::Topology::recommended_stripes).
+  explicit BlockTracker(unsigned stripes = 0);
 
   BlockTracker(const BlockTracker&) = delete;
   BlockTracker& operator=(const BlockTracker&) = delete;
@@ -197,13 +252,14 @@ class BlockTracker {
   /// complete() notifications have named it as a dependent.  Predecessors
   /// may complete concurrently with the registration — callers seed their
   /// gate with a surplus hold (see Runtime::spawn_impl) so early
-  /// notifications cannot zero it before this count is folded in.
+  /// notifications cannot zero it before this count is folded in.  A node
+  /// registers at most once per life (between reset_dep_state() calls).
   /// TSA opt-out: operates under the dynamic stripe set of lock_stripes()
   /// (ascending-order mask locking, inexpressible statically).
   std::size_t register_node(Node* node, std::span<const Access> accesses)
       SIGRT_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Marks `node` complete, drops every block-map pin still naming it (the
+  /// Marks `node` complete, drops every region pin still naming it (the
   /// tracker holds no pointer to the node afterwards) and appends the
   /// dependents recorded so far to `out` (which is NOT cleared — callers
   /// reuse scratch buffers).  Each appended pointer carries one retained
@@ -212,116 +268,97 @@ class BlockTracker {
   /// afterwards no longer depend on `node`.
   void complete(Node& node, std::vector<Node*>& out);
 
-  /// Collects the currently unfinished writers overlapping [ptr, ptr+bytes)
-  /// in one linear pass over the range, holding at most one stripe lock at
-  /// a time (re-locking when the block's stripe changes).
-  ///
-  /// Non-retained-pointer contract (the one place it is documented): the
-  /// returned pointers carry NO reference and are revalidated by nothing —
-  /// they are valid only while the caller independently guarantees the
-  /// writers have not completed (e.g. under a barrier, or for test-owned
-  /// nodes).  A writer that completes between the stripe visits may or may
-  /// not appear; one that completes after the call returns leaves a
-  /// dangling entry.
-  /// TSA opt-out: holds at most one stripe lock via a conditional
-  /// relock-on-stripe-change walk, a dynamic pattern TSA cannot follow.
-  [[nodiscard]] std::vector<Node*> pending_writers(const void* ptr,
-                                                   std::size_t bytes)
-      SIGRT_NO_THREAD_SAFETY_ANALYSIS;
-
   /// Forgets all history.  Only valid when no tasks are in flight (every
-  /// registered node completed), so the dropped map entries pin nothing.
+  /// registered node completed), so the dropped regions pin nothing.
   void reset();
 
   [[nodiscard]] TrackerStats stats() const;
-  [[nodiscard]] std::size_t block_bytes() const noexcept { return block_bytes_; }
   [[nodiscard]] unsigned stripe_count() const noexcept { return stripe_count_; }
 
  private:
-  /// Per-block history.  Readers since the last write live in a small
-  /// inline array that spills into a vector; both are reset — never freed —
-  /// when readers are displaced, so a warm block never allocates.
-  struct BlockState {
-    static constexpr unsigned kInlineReaders = 6;
-
-    Node* last_writer = nullptr;  ///< retained while parked here
-    std::uint32_t reader_count = 0;
-    std::array<Node*, kInlineReaders> readers_inline{};
-    std::vector<Node*> readers_spill;  ///< readers beyond the inline array
-
-    void add_reader(Node* n) {
-      if (reader_count < kInlineReaders) {
-        readers_inline[reader_count] = n;
-      } else {
-        readers_spill.push_back(n);
-      }
-      ++reader_count;
-    }
-
-    /// Swap-removes one occurrence of `n`; true when found.
-    bool remove_reader(Node* n) noexcept {
-      const std::uint32_t inline_count =
-          reader_count < kInlineReaders ? reader_count : kInlineReaders;
-      for (std::uint32_t i = 0; i < inline_count; ++i) {
-        if (readers_inline[i] != n) continue;
-        if (!readers_spill.empty()) {
-          readers_inline[i] = readers_spill.back();
-          readers_spill.pop_back();
-        } else {
-          readers_inline[i] = readers_inline[inline_count - 1];
-        }
-        --reader_count;
-        return true;
-      }
-      for (std::size_t i = 0; i < readers_spill.size(); ++i) {
-        if (readers_spill[i] != n) continue;
-        readers_spill[i] = readers_spill.back();
-        readers_spill.pop_back();
-        --reader_count;
-        return true;
-      }
-      return false;
-    }
-
-    template <typename F>
-    void for_each_reader(F&& f) {
-      const std::uint32_t inline_count =
-          reader_count < kInlineReaders ? reader_count : kInlineReaders;
-      for (std::uint32_t i = 0; i < inline_count; ++i) f(readers_inline[i]);
-      for (Node* n : readers_spill) f(n);
-    }
-
-    void clear_readers() noexcept {
-      reader_count = 0;
-      readers_spill.clear();  // capacity kept: reset, not freed
-    }
+  /// Bytes [lo, hi) of one region.
+  struct Bounds {
+    std::uint64_t lo;
+    std::uint64_t hi;
   };
 
-  /// One shard of the block map.  Padded so neighbouring stripes never
+  /// History of one region: the last writer and the readers since that
+  /// write.  Each non-null entry is one pin of that node.
+  struct Region {
+    Node* writer;
+    std::vector<Node*> readers;
+  };
+
+  /// One shard of the region map.  Padded so neighbouring stripes never
   /// share a cache line under concurrent register/complete traffic.
   struct alignas(64) Stripe {
     mutable support::SpinLock lock;
-    support::FlatBlockMap<BlockState> map SIGRT_GUARDED_BY(lock);
-    /// Distinct keys ever inserted.
-    std::uint64_t blocks_ever SIGRT_GUARDED_BY(lock) = 0;
+    /// Regions left vacant by complete(), not yet reused or swept.
+    std::size_t vacant SIGRT_GUARDED_BY(lock) = 0;
+    /// The ordered map: bounds[i] and regions[i] describe one region;
+    /// bounds are ordered by lo and pairwise disjoint.  They live apart
+    /// from the history so that lookups and neighbour checks read lines
+    /// that change only when the map's shape does, not on every reader or
+    /// writer update.
+    std::vector<Bounds> bounds SIGRT_GUARDED_BY(lock);
+    std::vector<Region> regions SIGRT_GUARDED_BY(lock);
+    /// Reader lists of erased regions, capacity kept for the next insert.
+    std::vector<std::vector<Node*>> spare SIGRT_GUARDED_BY(lock);
+    /// Lookup hints: the index a recent lookup of an address found, keyed
+    /// by a hash of the address.  A clause names the same bytes as the
+    /// clauses before it far more often than not, and regions seldom move,
+    /// so a hint usually saves the binary search; a stale one is caught by
+    /// a bounds check and costs only that search.
+    std::array<std::uint32_t, kHints> hints SIGRT_GUARDED_BY(lock){};
   };
 
-  [[nodiscard]] unsigned stripe_of(std::uint64_t block) const noexcept {
-    // Fibonacci hash: consecutive block indices of one array scatter over
-    // stripes instead of marching through them in lockstep.  Shifting by
-    // (64 - log2(stripe_count_)) keeps the top bits, so any power-of-two
-    // stripe count reuses the same multiply.
-    // stripe_count_ == 1 would need a shift by 64 (UB); short-circuit it.
-    return stripe_shift_ >= 64
-               ? 0u
-               : static_cast<unsigned>((block * 0x9E3779B97F4A7C15ULL) >>
-                                       stripe_shift_);
+  /// A vacant region holds no history: it stands for a gap whose slot a
+  /// later clause can take without reshaping the map.
+  [[nodiscard]] static bool is_vacant(const Region& r) noexcept {
+    return r.writer == nullptr && r.readers.empty();
   }
 
-  /// Builds the stripe mask of [lo, hi]; a range covering every live
-  /// stripe short-circuits to the all-live-stripes mask.
+  /// Pin bookkeeping of one map operation.  Pins of `self` (the node being
+  /// registered) are counted in `parks` and published once at the end of
+  /// the registration; pins of any other node are counted on the node.
+  struct Pins {
+    Node* self = nullptr;
+    std::int64_t parks = 0;
+
+    void add(Node* n) noexcept {
+      if (n == self) {
+        ++parks;
+      } else {
+        n->pin_count_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    void drop(Node* n) noexcept {
+      if (n == self) {
+        --parks;
+      } else {
+        unpin(n, 1);
+      }
+    }
+  };
+
+  [[nodiscard]] unsigned stripe_of(std::uint64_t granule) const noexcept {
+    // stripe_count_ == 1 would need a shift by 64 (UB); short-circuit it.
+    if (stripe_bits_ == 0) return 0;
+    const std::uint64_t run = granule >> stripe_bits_;
+    const std::uint64_t rotation =
+        (run * 0x9E3779B97F4A7C15ULL) >> (64 - stripe_bits_);
+    return static_cast<unsigned>((granule + rotation) & (stripe_count_ - 1));
+  }
+
+  /// Stripe set of the bytes [lo, hi); a range covering stripe-count
+  /// granules short-circuits to every live stripe.
   [[nodiscard]] std::uint64_t stripe_mask(std::uint64_t lo,
                                           std::uint64_t hi) const noexcept;
+
+  /// True when [lo, hi) holds a byte of a granule that hashes to stripe
+  /// `s` — the bytes whose edges that stripe derives.
+  [[nodiscard]] bool owns(unsigned s, std::uint64_t lo,
+                          std::uint64_t hi) const noexcept;
 
   // Dynamic stripe sets (a ctz loop over a runtime mask, ascending order)
   // are beyond TSA's static capability tracking; the implementations and
@@ -329,8 +366,34 @@ class BlockTracker {
   // SIGRT_NO_THREAD_SAFETY_ANALYSIS and rely on the documented ascending
   // lock order instead.
   void lock_stripes(std::uint64_t mask) noexcept SIGRT_NO_THREAD_SAFETY_ANALYSIS;
-  void unlock_stripes(std::uint64_t mask) noexcept
+
+  /// Applies one clause [lo, hi) of the node in `pins.self` to stripe `s`,
+  /// whose lock the caller holds.  Returns the edges it added.
+  std::size_t record(unsigned s, std::uint64_t lo, std::uint64_t hi, Mode mode,
+                     std::uint64_t stamp, Pins& pins)
       SIGRT_NO_THREAD_SAFETY_ANALYSIS;
+
+  // Ordered-map primitives; the caller holds the stripe's lock.
+  /// Index of the first region with hi > addr: the hinted index when a
+  /// region starts exactly at addr, else a binary search that refreshes
+  /// the hint.
+  static std::size_t first_after(Stripe& st, std::uint64_t addr)
+      SIGRT_NO_THREAD_SAFETY_ANALYSIS;
+  /// Splits region i, which strictly contains `at`, in two, copying its
+  /// state — one more pin for every node it names.
+  static void split(Stripe& st, std::size_t i, std::uint64_t at, Pins& pins)
+      SIGRT_NO_THREAD_SAFETY_ANALYSIS;
+  /// Inserts a region [lo, hi) with no history at index i.
+  static Region& insert(Stripe& st, std::size_t i, std::uint64_t lo,
+                        std::uint64_t hi) SIGRT_NO_THREAD_SAFETY_ANALYSIS;
+  /// Erases region i, keeping its reader list's capacity.
+  static void erase(Stripe& st, std::size_t i) SIGRT_NO_THREAD_SAFETY_ANALYSIS;
+  /// Merges region i into region i-1 when they touch and hold equal,
+  /// non-vacant state, dropping the duplicate pins.  True when merged.
+  static bool merge_into_prev(Stripe& st, std::size_t i, Pins& pins)
+      SIGRT_NO_THREAD_SAFETY_ANALYSIS;
+  /// Erases every vacant region in one pass.
+  static void sweep(Stripe& st) SIGRT_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Adds an edge pred -> succ unless pred is done or already linked during
   /// this pass (visit stamp).  Returns true when an edge was added.  Must
@@ -338,31 +401,26 @@ class BlockTracker {
   /// what keeps the pointer alive).
   bool link(Node* pred, Node* succ, std::uint64_t stamp);
 
-  /// Drops one block-map pin of `node`; the last pin releases the shared
+  /// Drops `n` region pins of `node`; the last pin releases the shared
   /// registration reference.  Caller must hold the stripe lock the pin was
-  /// found under (which is what makes the pointer still dereferencable).
-  static void unpin(Node* node) noexcept {
-    if (node->pin_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  /// found under (which is what makes the pointer still dereferencable),
+  /// or — for the completing node — a reference of its own.
+  static void unpin(Node* node, std::uint32_t n) noexcept {
+    if (node->pin_count_.fetch_sub(n, std::memory_order_acq_rel) == n) {
       node->ref_release();
     }
   }
 
-  [[nodiscard]] std::uint64_t first_block(const void* ptr) const noexcept;
-  [[nodiscard]] std::uint64_t last_block(const void* ptr,
-                                         std::size_t bytes) const noexcept;
-
-  const std::size_t block_bytes_;
-  const unsigned block_shift_;
-  const unsigned stripe_count_;   ///< live stripes (power of two <= kMaxStripes)
-  const unsigned stripe_shift_;   ///< 64 - log2(stripe_count_)
+  const unsigned stripe_count_;  ///< live stripes (power of two <= kMaxStripes)
+  const unsigned stripe_bits_;   ///< log2(stripe_count_)
   const std::uint64_t all_stripes_mask_;
 
   /// Storage is sized for the ceiling; only the first stripe_count_ entries
   /// are ever addressed (stripe_of masks into that prefix).
   std::array<Stripe, kMaxStripes> stripes_;
 
-  /// Registration/scan stamp source.  Starts at 1 so a freshly reset
-  /// node's visit_stamp_ of 0 never matches a live stamp.
+  /// Registration stamp source.  Starts at 1 so a freshly reset node's
+  /// visit_stamp_ of 0 never matches a live stamp.
   std::atomic<std::uint64_t> stamp_{1};
   std::atomic<std::uint64_t> registered_nodes_{0};
   std::atomic<std::uint64_t> edges_{0};

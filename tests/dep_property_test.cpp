@@ -1,11 +1,11 @@
 // Property test: end-to-end dependence enforcement.
 //
 // Random tasks draw random byte ranges (read/write/rw) over a shared arena.
-// For any two tasks whose accesses conflict at *block* granularity
-// (write-write or read-write overlap), the later-spawned task must not
-// start before the earlier one finished — the definition of the in()/out()
-// contract the paper's runtime inherits from BDDT.  Verified against a
-// brute-force conflict oracle over recorded start/end timestamps.
+// For any two tasks whose accesses conflict — some byte is named by both,
+// and at least one of the two clauses writes — the later-spawned task must
+// not start before the earlier one finished: the in()/out() contract the
+// paper's runtime inherits from BDDT, at byte granularity.  Verified
+// against a brute-force conflict oracle over recorded start/end timestamps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -31,14 +30,14 @@ using sigrt::RuntimeConfig;
 
 struct Params {
   unsigned workers;
-  std::size_t block_bytes;
+  std::size_t arena_bytes;  ///< clauses run up to an eighth of this
   std::size_t tasks;
   std::uint64_t seed;
 };
 
 std::string param_name(const testing::TestParamInfo<Params>& info) {
   const Params& p = info.param;
-  return "w" + std::to_string(p.workers) + "_b" + std::to_string(p.block_bytes) +
+  return "w" + std::to_string(p.workers) + "_a" + std::to_string(p.arena_bytes) +
          "_n" + std::to_string(p.tasks) + "_s" + std::to_string(p.seed);
 }
 
@@ -52,8 +51,8 @@ class DepProperty : public testing::TestWithParam<Params> {};
 
 TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
   const Params& p = GetParam();
-  constexpr std::size_t kArena = 1 << 14;  // 16 KiB playground
-  static std::vector<std::uint8_t> arena(kArena);
+  const std::size_t kArena = p.arena_bytes;
+  std::vector<std::uint8_t> arena(kArena);
 
   sigrt::support::Xoshiro256 rng(p.seed);
   std::vector<std::vector<AccessSpec>> specs(p.tasks);
@@ -77,7 +76,6 @@ TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
   RuntimeConfig c;
   c.workers = p.workers;
   c.policy = PolicyKind::Agnostic;
-  c.block_bytes = p.block_bytes;
   {
     Runtime rt(c);
     for (std::size_t t = 0; t < p.tasks; ++t) {
@@ -97,21 +95,15 @@ TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
     rt.wait_all();
   }
 
-  // Brute-force oracle: block-granular conflict == some block is touched by
-  // both tasks with at least one write.
-  auto blocks_of = [&](const AccessSpec& s) {
-    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(arena.data());
-    const std::uint64_t lo = (base + s.offset) / p.block_bytes;
-    const std::uint64_t hi = (base + s.offset + s.bytes - 1) / p.block_bytes;
-    return std::pair{lo, hi};
-  };
+  // Brute-force oracle: a conflict is some byte named by both tasks with
+  // at least one write.
   auto conflicts = [&](std::size_t i, std::size_t j) {
     for (const AccessSpec& a : specs[i]) {
       for (const AccessSpec& b : specs[j]) {
         if (!sigrt::dep::writes(a.mode) && !sigrt::dep::writes(b.mode)) continue;
-        const auto [alo, ahi] = blocks_of(a);
-        const auto [blo, bhi] = blocks_of(b);
-        if (alo <= bhi && blo <= ahi) return true;
+        if (a.offset < b.offset + b.bytes && b.offset < a.offset + a.bytes) {
+          return true;
+        }
       }
     }
     return false;
@@ -133,14 +125,14 @@ TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DepProperty,
     testing::ValuesIn(std::vector<Params>{
-        {0, 64, 60, 1},
-        {0, 1024, 60, 2},
-        {1, 256, 80, 3},
-        {2, 64, 80, 4},
-        {4, 1024, 80, 5},
-        {4, 4096, 60, 6},
-        {2, 256, 120, 7},
-        {4, 64, 120, 8},
+        {0, 1024, 60, 1},
+        {0, 16384, 60, 2},
+        {1, 4096, 80, 3},
+        {2, 1024, 80, 4},
+        {4, 65536, 80, 5},
+        {4, 16384, 60, 6},
+        {2, 4096, 120, 7},
+        {4, 1024, 120, 8},
     }),
     param_name);
 
@@ -154,31 +146,31 @@ using sigrt::dep::BlockTracker;
 using sigrt::dep::Mode;
 using sigrt::dep::Node;
 
-// Single-threaded reference implementation of the block tracker's
-// semantics — the pre-striping single-map algorithm, reduced to indices.
-// The striped tracker, driven serially, must agree with it exactly.
+// Single-threaded reference model of the tracker's semantics: one global
+// map from each byte to its last writer and the readers since, updated
+// byte by byte in clause order.  The striped region tracker, driven
+// serially, must agree with it exactly — predecessor counts and the
+// dependents each completion hands out.
 class ReferenceTracker {
  public:
-  explicit ReferenceTracker(std::size_t block_bytes, std::size_t nodes)
-      : shift_(static_cast<unsigned>(std::countr_zero(block_bytes))),
-        nodes_(nodes) {}
+  ReferenceTracker(const std::uint8_t* arena, std::size_t bytes,
+                   std::size_t nodes)
+      : base_(arena), bytes_(bytes), nodes_(nodes) {}
 
   std::size_t register_node(std::size_t id, const std::vector<Access>& accesses) {
     ++stamp_;
     std::size_t preds = 0;
     for (const Access& a : accesses) {
       if (a.ptr == nullptr || a.bytes == 0) continue;
-      const auto base =
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(a.ptr));
-      const std::uint64_t lo = base >> shift_;
-      const std::uint64_t hi = (base + a.bytes - 1) >> shift_;
-      for (std::uint64_t b = lo; b <= hi; ++b) {
-        BlockState& st = blocks_[b];
-        if (sigrt::dep::reads(a.mode) && link(st.writer, id)) ++preds;
+      const auto lo = static_cast<std::size_t>(
+          static_cast<const std::uint8_t*>(a.ptr) - base_);
+      nodes_[id].ranges.emplace_back(lo, lo + a.bytes);
+      for (std::size_t x = lo; x < lo + a.bytes; ++x) {
+        ByteState& st = bytes_[x];
+        if (link(st.writer, id)) ++preds;  // RAW (read) or WAW (write)
         if (sigrt::dep::writes(a.mode)) {
-          if (link(st.writer, id)) ++preds;
           for (std::size_t r : st.readers) {
-            if (link(static_cast<std::ptrdiff_t>(r), id)) ++preds;
+            if (link(static_cast<std::ptrdiff_t>(r), id)) ++preds;  // WAR
           }
           st.readers.clear();
           st.writer = static_cast<std::ptrdiff_t>(id);
@@ -191,13 +183,17 @@ class ReferenceTracker {
   }
 
   std::vector<std::size_t> complete(std::size_t id) {
-    nodes_[id].done = true;
-    for (auto& [b, st] : blocks_) {
-      if (st.writer == static_cast<std::ptrdiff_t>(id)) st.writer = -1;
-      std::erase(st.readers, id);
+    RefNode& n = nodes_[id];
+    n.done = true;
+    for (const auto& [lo, hi] : n.ranges) {
+      for (std::size_t x = lo; x < hi; ++x) {
+        ByteState& st = bytes_[x];
+        if (st.writer == static_cast<std::ptrdiff_t>(id)) st.writer = -1;
+        std::erase(st.readers, id);
+      }
     }
-    auto out = std::move(nodes_[id].dependents);
-    nodes_[id].dependents.clear();
+    auto out = std::move(n.dependents);
+    n.dependents.clear();
     return out;
   }
 
@@ -206,8 +202,9 @@ class ReferenceTracker {
     bool done = false;
     std::uint64_t visit = 0;
     std::vector<std::size_t> dependents;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
   };
-  struct BlockState {
+  struct ByteState {
     std::ptrdiff_t writer = -1;
     std::vector<std::size_t> readers;
   };
@@ -221,68 +218,78 @@ class ReferenceTracker {
     return true;
   }
 
-  unsigned shift_;
+  const std::uint8_t* base_;
   std::uint64_t stamp_ = 0;
+  std::vector<ByteState> bytes_;
   std::vector<RefNode> nodes_;
-  std::map<std::uint64_t, BlockState> blocks_;
 };
 
 TEST(DepOracle, SerializedStripedTrackerMatchesReference) {
-  constexpr std::size_t kBlock = 64;
   constexpr std::size_t kNodes = 300;
-  constexpr std::size_t kArena = 64 * kBlock;
+  constexpr std::size_t kArena = 8192;
   static std::vector<std::uint8_t> arena(kArena);
 
-  for (std::uint64_t seed : {11u, 22u, 33u}) {
-    BlockTracker tracker(kBlock);
-    ReferenceTracker reference(kBlock, kNodes);
-    std::vector<Node> nodes(kNodes);
-    sigrt::support::Xoshiro256 rng(seed);
+  // Stripe counts from one lock to the ceiling: the more stripes, the more
+  // bytes a wide clause carries into stripes that do not own them.
+  for (unsigned stripes : {1u, 2u, 8u, 64u}) {
+    for (std::uint64_t seed : {11u, 22u, 33u}) {
+      BlockTracker tracker(stripes);
+      ReferenceTracker reference(arena.data(), kArena, kNodes);
+      std::vector<Node> nodes(kNodes);
+      sigrt::support::Xoshiro256 rng(seed);
 
-    std::vector<std::size_t> live;  // registered, not yet completed
-    std::size_t next = 0;
-    std::uint64_t ops = 0;
-    while (next < kNodes || !live.empty()) {
-      const bool can_register = next < kNodes;
-      const bool do_register =
-          can_register && (live.empty() || rng.bounded(2) == 0);
-      if (do_register) {
-        std::vector<Access> accesses;
-        const std::size_t n = 1 + rng.bounded(3);
-        for (std::size_t a = 0; a < n; ++a) {
-          const std::size_t off = rng.bounded(kArena - 1);
-          std::size_t bytes = 1 + rng.bounded(4 * kBlock);
-          if (off + bytes > kArena) bytes = kArena - off;
-          const auto m = rng.bounded(3);
-          accesses.push_back(
-              {arena.data() + off, bytes,
-               m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut)});
+      std::vector<std::size_t> live;  // registered, not yet completed
+      std::size_t next = 0;
+      std::uint64_t ops = 0;
+      while (next < kNodes || !live.empty()) {
+        const bool can_register = next < kNodes;
+        const bool do_register =
+            can_register && (live.empty() || rng.bounded(2) == 0);
+        if (do_register) {
+          std::vector<Access> accesses;
+          const std::size_t n = 1 + rng.bounded(3);
+          for (std::size_t a = 0; a < n; ++a) {
+            const std::size_t off = rng.bounded(kArena - 1);
+            // Mostly narrow clauses (a few granules), some wide enough to
+            // take every stripe.
+            const std::size_t max_bytes = rng.bounded(4) == 0 ? kArena / 2 : 256;
+            std::size_t bytes = 1 + rng.bounded(max_bytes);
+            if (off + bytes > kArena) bytes = kArena - off;
+            const auto m = rng.bounded(3);
+            accesses.push_back(
+                {arena.data() + off, bytes,
+                 m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut)});
+          }
+          const std::size_t got = tracker.register_node(&nodes[next], accesses);
+          const std::size_t want = reference.register_node(next, accesses);
+          ASSERT_EQ(got, want) << "register #" << next << " seed " << seed
+                               << " stripes " << stripes;
+          live.push_back(next);
+          ++next;
+        } else {
+          const std::size_t pick = rng.bounded(live.size());
+          const std::size_t id = live[pick];
+          live[pick] = live.back();
+          live.pop_back();
+          std::vector<Node*> out;
+          tracker.complete(nodes[id], out);
+          std::vector<std::size_t> got;
+          got.reserve(out.size());
+          for (Node* n : out) {
+            got.push_back(static_cast<std::size_t>(n - nodes.data()));
+          }
+          std::vector<std::size_t> want = reference.complete(id);
+          std::sort(got.begin(), got.end());
+          std::sort(want.begin(), want.end());
+          ASSERT_EQ(got, want) << "complete #" << id << " seed " << seed
+                               << " stripes " << stripes;
         }
-        const std::size_t got = tracker.register_node(&nodes[next], accesses);
-        const std::size_t want = reference.register_node(next, accesses);
-        ASSERT_EQ(got, want) << "register #" << next << " seed " << seed;
-        live.push_back(next);
-        ++next;
-      } else {
-        const std::size_t pick = rng.bounded(live.size());
-        const std::size_t id = live[pick];
-        live[pick] = live.back();
-        live.pop_back();
-        std::vector<Node*> out;
-        tracker.complete(nodes[id], out);
-        std::vector<std::size_t> got;
-        got.reserve(out.size());
-        for (Node* n : out) {
-          got.push_back(static_cast<std::size_t>(n - nodes.data()));
-        }
-        std::vector<std::size_t> want = reference.complete(id);
-        std::sort(got.begin(), got.end());
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(got, want) << "complete #" << id << " seed " << seed;
+        ++ops;
       }
-      ++ops;
+      ASSERT_EQ(ops, kNodes * 2);
+      // Every region is erased once its clauses complete.
+      EXPECT_EQ(tracker.stats().live_regions, 0u);
     }
-    ASSERT_EQ(ops, kNodes * 2);
   }
 }
 
@@ -308,16 +315,115 @@ struct OracleParams {
   std::uint64_t seed;
 };
 
+// Reusable counting rendezvous: the last of `parties` arrivals of a round
+// opens it for everyone.  A waiter gives up once `abort` is set, so one
+// thread's failure ends the test instead of hanging the others.
+class Rendezvous {
+ public:
+  explicit Rendezvous(unsigned parties) : parties_(parties) {}
+
+  bool arrive_and_wait(const std::atomic<bool>& abort) {
+    const unsigned round = round_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      round_.fetch_add(1, std::memory_order_release);
+      return true;
+    }
+    while (round_.load(std::memory_order_acquire) == round) {
+      if (abort.load(std::memory_order_relaxed)) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+
+ private:
+  const unsigned parties_;
+  std::atomic<unsigned> arrived_{0};
+  std::atomic<unsigned> round_{0};
+};
+
+constexpr std::size_t kCell = 64;
+constexpr std::size_t kCells = 48;  // small arena: heavy overlap
+
+/// One node's footprint over the arena's cells: its clauses and, per cell,
+/// 0 (untouched), 1 (read) or 2 (written).
+struct Footprint {
+  std::vector<std::tuple<std::size_t, std::size_t, Mode>> clauses;  // cells [lo, hi)
+  std::array<std::uint8_t, kCells> role{};
+};
+
+/// 1-3 clauses of 1-4 cells each.
+Footprint random_footprint(sigrt::support::Xoshiro256& rng) {
+  Footprint f;
+  const std::size_t n = 1 + rng.bounded(3);
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t lo = rng.bounded(kCells);
+    const std::size_t hi = std::min(lo + 1 + rng.bounded(4), kCells);
+    const auto m = rng.bounded(3);
+    const Mode mode = m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut);
+    f.clauses.emplace_back(lo, hi, mode);
+    for (std::size_t c = lo; c < hi; ++c) {
+      f.role[c] = std::max<std::uint8_t>(f.role[c],
+                                         sigrt::dep::writes(mode) ? 2 : 1);
+    }
+  }
+  return f;
+}
+
+bool footprints_conflict(const Footprint& a, const Footprint& b) {
+  for (std::size_t c = 0; c < kCells; ++c) {
+    if (a.role[c] != 0 && b.role[c] != 0 && std::max(a.role[c], b.role[c]) == 2) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Fewest edges one round of live nodes must produce, in any registration
+/// order: every node that conflicts with an earlier-registered one gets at
+/// least one edge (to it, or to a live node that displaced it), and the
+/// nodes that do not form an independent set of the conflict graph.  So
+/// the floor is the node count minus the graph's independence number.
+std::size_t round_edge_floor(const std::vector<const Footprint*>& round) {
+  const std::size_t n = round.size();
+  std::vector<std::uint32_t> adjacent(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (footprints_conflict(*round[i], *round[j])) {
+        adjacent[i] |= 1u << j;
+        adjacent[j] |= 1u << i;
+      }
+    }
+  }
+  std::size_t independence = 0;
+  for (std::uint32_t set = 0; set < (1u << n); ++set) {
+    bool independent = true;
+    for (std::size_t i = 0; i < n && independent; ++i) {
+      if ((set >> i & 1) != 0 && (adjacent[i] & set) != 0) independent = false;
+    }
+    if (independent) {
+      independence = std::max<std::size_t>(
+          independence, static_cast<std::size_t>(std::popcount(set)));
+    }
+  }
+  return n - independence;
+}
+
 // T threads register/complete overlapping random footprints directly
-// against one tracker.  Checked properties:
-//   * conflict exclusion — two tasks whose footprints conflict at block
-//     granularity never execute concurrently (per-block writer/reader
-//     occupancy counters);
+// against one tracker.  All threads meet at a rendezvous after
+// registering their i-th node and before waiting on its gate, so the i-th
+// nodes are all in flight together whatever the scheduler does; this
+// cannot deadlock, because a node registered earlier never waits on one
+// registered later.  Checked properties:
+//   * conflict exclusion — two tasks whose footprints conflict never
+//     execute concurrently (per-cell writer/reader occupancy counters);
 //   * edge balance — every predecessor counted by register_node() is
 //     handed out by exactly one complete(), and the tracker's edge stat
 //     agrees;
 //   * refcount balance — after all nodes complete, every retain is paired
-//     with a release (the tracker pins nothing);
+//     with a release and no region is left (the tracker pins nothing);
+//   * non-vacuity — at least the edges the seeded footprints force
+//     (round_edge_floor over every round);
 //   * progress — a cycle in the discovered graph (the striping hazard this
 //     guards against) would deadlock the gates; the bounded spin turns
 //     that into a failure instead of a hang.
@@ -325,62 +431,50 @@ class DepConcurrentOracle : public testing::TestWithParam<OracleParams> {};
 
 TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
   const OracleParams& p = GetParam();
-  constexpr std::size_t kBlock = 64;
-  constexpr std::size_t kBlocks = 48;  // small arena: heavy overlap
-  constexpr std::size_t kArena = kBlocks * kBlock;
+  constexpr std::size_t kArena = kCells * kCell;
   constexpr std::uint32_t kHold = 1u << 20;
   static std::vector<std::uint8_t> arena(kArena);
+  ASSERT_LE(p.threads, 16u);  // round_edge_floor enumerates 2^threads sets
 
-  BlockTracker tracker(kBlock);
+  BlockTracker tracker;
   const std::size_t total = p.threads * p.nodes_per_thread;
   std::vector<CountingNode> nodes(total);
 
-  // Per-block occupancy the "execution" phase checks against.
-  std::array<std::atomic<int>, kBlocks> writers{};
-  std::array<std::atomic<int>, kBlocks> readers{};
+  // Seeded footprints, generated up front so the edge floor is known.
+  std::vector<Footprint> feet(total);
+  for (unsigned tid = 0; tid < p.threads; ++tid) {
+    sigrt::support::Xoshiro256 rng(p.seed * 977 + tid);
+    for (std::size_t i = 0; i < p.nodes_per_thread; ++i) {
+      feet[tid * p.nodes_per_thread + i] = random_footprint(rng);
+    }
+  }
+  std::size_t floor = 0;
+  for (std::size_t i = 0; i < p.nodes_per_thread; ++i) {
+    std::vector<const Footprint*> round;
+    for (unsigned tid = 0; tid < p.threads; ++tid) {
+      round.push_back(&feet[tid * p.nodes_per_thread + i]);
+    }
+    floor += round_edge_floor(round);
+  }
+
+  // Per-cell occupancy the "execution" phase checks against.
+  std::array<std::atomic<int>, kCells> writers{};
+  std::array<std::atomic<int>, kCells> readers{};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> deps_found{0};
   std::atomic<std::uint64_t> deps_handed{0};
   std::atomic<bool> stuck{false};
-
-  std::atomic<unsigned> start_gate{0};
+  Rendezvous rendezvous(p.threads);
 
   auto worker = [&](unsigned tid) {
-    // Rendezvous so every thread's work window overlaps (a lone thread
-    // racing ahead would make the exclusion check vacuous).
-    start_gate.fetch_add(1, std::memory_order_acq_rel);
-    while (start_gate.load(std::memory_order_acquire) < p.threads) {
-      std::this_thread::yield();
-    }
-    sigrt::support::Xoshiro256 rng(p.seed * 977 + tid);
     std::vector<Node*> out;
+    std::vector<Access> accesses;
     for (std::size_t i = 0; i < p.nodes_per_thread; ++i) {
       CountingNode& node = nodes[tid * p.nodes_per_thread + i];
-
-      // Random footprint: 1-3 accesses of 1-4 blocks each.  The occupancy
-      // oracle's footprint is de-duplicated per block (a task may name a
-      // block through several accesses; against *itself* that is never a
-      // conflict).
-      std::vector<Access> accesses;
-      std::array<std::uint8_t, kBlocks> role{};  // 1 = read, 2 = write
-      const std::size_t n = 1 + rng.bounded(3);
-      for (std::size_t a = 0; a < n; ++a) {
-        const std::size_t lo = rng.bounded(kBlocks);
-        const std::size_t span = 1 + rng.bounded(4);
-        const std::size_t hi = std::min(lo + span, kBlocks);
-        const auto m = rng.bounded(3);
-        const Mode mode =
-            m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut);
-        accesses.push_back(
-            {arena.data() + lo * kBlock, (hi - lo) * kBlock, mode});
-        for (std::size_t b = lo; b < hi; ++b) {
-          role[b] = std::max<std::uint8_t>(
-              role[b], sigrt::dep::writes(mode) ? 2 : 1);
-        }
-      }
-      std::vector<std::pair<std::size_t, bool>> foot;  // (block, writes)
-      for (std::size_t b = 0; b < kBlocks; ++b) {
-        if (role[b] != 0) foot.emplace_back(b, role[b] == 2);
+      const Footprint& foot = feet[tid * p.nodes_per_thread + i];
+      accesses.clear();
+      for (const auto& [lo, hi, mode] : foot.clauses) {
+        accesses.push_back({arena.data() + lo * kCell, (hi - lo) * kCell, mode});
       }
 
       // Runtime-style gate protocol: surplus hold, register, fold in the
@@ -390,10 +484,7 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
       deps_found.fetch_add(deps, std::memory_order_relaxed);
       node.gate.fetch_sub(kHold - static_cast<std::uint32_t>(deps),
                           std::memory_order_acq_rel);
-      // On a single-CPU box threads only interleave at yield points; one
-      // here (between register and execute) maximizes the window in which
-      // another thread must observe this node's parked pins.
-      std::this_thread::yield();
+      if (!rendezvous.arrive_and_wait(stuck)) return;
 
       const auto spin_start = std::chrono::steady_clock::now();
       while (node.gate.load(std::memory_order_acquire) != 0) {
@@ -405,17 +496,18 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
         }
       }
 
-      // "Execute": occupy every block of the footprint and verify no
-      // conflicting occupant, with block-granular reader/writer rules.
-      for (const auto& [b, w] : foot) {
-        if (w) {
-          if (writers[b].fetch_add(1, std::memory_order_acq_rel) != 0 ||
-              readers[b].load(std::memory_order_acquire) != 0) {
+      // "Execute": occupy every cell of the footprint and verify no
+      // conflicting occupant, with per-cell reader/writer rules (a task
+      // naming a cell through several clauses occupies it once).
+      for (std::size_t c = 0; c < kCells; ++c) {
+        if (foot.role[c] == 2) {
+          if (writers[c].fetch_add(1, std::memory_order_acq_rel) != 0 ||
+              readers[c].load(std::memory_order_acquire) != 0) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
-        } else {
-          readers[b].fetch_add(1, std::memory_order_acq_rel);
-          if (writers[b].load(std::memory_order_acquire) != 0) {
+        } else if (foot.role[c] == 1) {
+          readers[c].fetch_add(1, std::memory_order_acq_rel);
+          if (writers[c].load(std::memory_order_acquire) != 0) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -424,8 +516,11 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
       for (int spin = 0; spin < 500; ++spin) {
         sink = sink + static_cast<unsigned>(spin);
       }
-      for (const auto& [b, w] : foot) {
-        (w ? writers[b] : readers[b]).fetch_sub(1, std::memory_order_acq_rel);
+      for (std::size_t c = 0; c < kCells; ++c) {
+        if (foot.role[c] != 0) {
+          (foot.role[c] == 2 ? writers[c] : readers[c])
+              .fetch_sub(1, std::memory_order_acq_rel);
+        }
       }
 
       // Complete: adopt each handed-out dependent, open its gate, release.
@@ -450,16 +545,16 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
   EXPECT_EQ(deps_found.load(), deps_handed.load());
   EXPECT_EQ(tracker.stats().edges, deps_found.load());
   EXPECT_EQ(tracker.stats().registered_nodes, total);
+  EXPECT_EQ(tracker.stats().live_regions, 0u);
   for (std::size_t i = 0; i < total; ++i) {
     EXPECT_EQ(nodes[i].retains.load(), nodes[i].releases.load())
         << "unbalanced refcount on node " << i;
     EXPECT_EQ(nodes[i].gate.load(), 0u);
   }
-  // The small arena must actually produce cross-thread edges, or the
-  // exclusion check is vacuous.  The floor is loose: how often threads
-  // catch each other in flight depends on the scheduler (and on TSan's
-  // slowdown), not just on the arena.
-  EXPECT_GT(deps_found.load(), total / 8);
+  // The rendezvous makes every round's overlap deterministic, so the
+  // seeded footprints alone fix how many edges must be found.
+  EXPECT_GE(deps_found.load(), floor);
+  EXPECT_GT(floor, total / 10) << "footprints too sparse to test exclusion";
 }
 
 std::string oracle_name(const testing::TestParamInfo<OracleParams>& info) {

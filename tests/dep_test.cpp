@@ -1,4 +1,6 @@
-// Unit tests for the block-level dependence tracker (BDDT-style substrate).
+// Unit tests for the byte-range dependence tracker (BDDT's rules on exact
+// byte ranges): two clauses conflict exactly when their bytes overlap and
+// one of them writes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -31,14 +33,14 @@ std::vector<Node*> complete(BlockTracker& t, Node& n) {
 }
 
 TEST(BlockTracker, FirstWriterHasNoDependencies) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w = make_node();
   EXPECT_EQ(reg(t, w, {sigrt::dep::out(data.data(), data.size())}), 0u);
 }
 
 TEST(BlockTracker, ReadAfterWriteCreatesEdge) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w = make_node();
   auto r = make_node();
@@ -47,7 +49,7 @@ TEST(BlockTracker, ReadAfterWriteCreatesEdge) {
 }
 
 TEST(BlockTracker, WriteAfterWriteCreatesEdge) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w1 = make_node();
   auto w2 = make_node();
@@ -56,7 +58,7 @@ TEST(BlockTracker, WriteAfterWriteCreatesEdge) {
 }
 
 TEST(BlockTracker, WriteAfterReadsDependsOnAllReaders) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto r1 = make_node();
   auto r2 = make_node();
@@ -67,7 +69,7 @@ TEST(BlockTracker, WriteAfterReadsDependsOnAllReaders) {
 }
 
 TEST(BlockTracker, ReadersDoNotDependOnEachOther) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto r1 = make_node();
   auto r2 = make_node();
@@ -76,7 +78,7 @@ TEST(BlockTracker, ReadersDoNotDependOnEachOther) {
 }
 
 TEST(BlockTracker, CompletedPredecessorAddsNoEdge) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w = make_node();
   auto r = make_node();
@@ -86,7 +88,7 @@ TEST(BlockTracker, CompletedPredecessorAddsNoEdge) {
 }
 
 TEST(BlockTracker, CompleteReturnsDependents) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w = make_node();
   auto r1 = make_node();
@@ -98,9 +100,10 @@ TEST(BlockTracker, CompleteReturnsDependents) {
   EXPECT_EQ(deps.size(), 2u);
 }
 
-TEST(BlockTracker, MultiBlockAccessDeduplicatesEdges) {
-  BlockTracker t(64);
-  // 1024 bytes spans 16+ blocks of 64B; still exactly one edge to the writer.
+TEST(BlockTracker, MultiStripeAccessDeduplicatesEdges) {
+  BlockTracker t;
+  // 1024 bytes span 16 granules, so both clauses land in 16 stripes; still
+  // exactly one edge to the writer.
   alignas(64) std::array<int, 256> data{};
   auto w = make_node();
   auto r = make_node();
@@ -109,8 +112,8 @@ TEST(BlockTracker, MultiBlockAccessDeduplicatesEdges) {
   EXPECT_EQ(complete(t, *w).size(), 1u);
 }
 
-TEST(BlockTracker, DisjointBlocksAreIndependent) {
-  BlockTracker t(64);
+TEST(BlockTracker, DisjointRangesAreIndependent) {
+  BlockTracker t;
   // Two regions far apart: writer of one never blocks reader of the other.
   alignas(64) std::array<int, 16> a{};
   alignas(64) std::array<int, 16> b{};
@@ -121,7 +124,7 @@ TEST(BlockTracker, DisjointBlocksAreIndependent) {
 }
 
 TEST(BlockTracker, InOutActsAsReadAndWrite) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w1 = make_node();
   auto rw = make_node();
@@ -134,7 +137,7 @@ TEST(BlockTracker, InOutActsAsReadAndWrite) {
 }
 
 TEST(BlockTracker, SelfOverlapWithinOneRegistrationIsNotADependency) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto n = make_node();
   // Reads and writes the same range in one registration: no self edge.
@@ -145,26 +148,14 @@ TEST(BlockTracker, SelfOverlapWithinOneRegistrationIsNotADependency) {
 }
 
 TEST(BlockTracker, EmptyAndNullAccessesIgnored) {
-  BlockTracker t(64);
+  BlockTracker t;
   auto n = make_node();
   EXPECT_EQ(reg(t, n, {Access{nullptr, 128, Mode::Out}, Access{&t, 0, Mode::In}}),
             0u);
 }
 
-TEST(BlockTracker, PendingWritersFindsUnfinishedWriter) {
-  BlockTracker t(64);
-  alignas(64) std::array<int, 16> data{};
-  auto w = make_node();
-  reg(t, w, {sigrt::dep::out(data.data(), data.size())});
-  auto pending = t.pending_writers(data.data(), sizeof(data));
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0], w.get());
-  (void)complete(t, *w);
-  EXPECT_TRUE(t.pending_writers(data.data(), sizeof(data)).empty());
-}
-
 TEST(BlockTracker, ResetForgetsHistory) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   auto w = make_node();
   auto r = make_node();
@@ -173,31 +164,162 @@ TEST(BlockTracker, ResetForgetsHistory) {
   EXPECT_EQ(reg(t, r, {sigrt::dep::in(data.data(), data.size())}), 0u);
 }
 
-TEST(BlockTracker, StatsCountEdgesAndBlocks) {
-  BlockTracker t(64);
-  alignas(64) std::array<int, 32> data{};  // 128 bytes -> 2 blocks
+TEST(BlockTracker, StatsCountEdgesAndLiveRegions) {
+  BlockTracker t(1);  // one stripe: every clause is one region
+  alignas(64) std::array<int, 32> data{};
   auto w = make_node();
   auto r = make_node();
   reg(t, w, {sigrt::dep::out(data.data(), data.size())});
   reg(t, r, {sigrt::dep::in(data.data(), data.size())});
-  const auto s = t.stats();
+  auto s = t.stats();
   EXPECT_EQ(s.registered_nodes, 2u);
   EXPECT_EQ(s.edges, 1u);
-  EXPECT_GE(s.blocks_touched, 2u);
+  EXPECT_EQ(s.live_regions, 1u);
+  (void)complete(t, *w);
+  (void)complete(t, *r);
+  EXPECT_EQ(t.stats().live_regions, 0u);
 }
 
-TEST(BlockTracker, SubBlockRangesConflictConservatively) {
-  BlockTracker t(1024);
-  // Two 8-byte writes in the same 1 KiB block: conservative WAW edge.
+TEST(BlockTracker, DisjointBytesInOneBlockDoNotConflict) {
+  BlockTracker t;
+  // Two 8-byte writes in the same 1 KiB block: disjoint bytes, no edge.
   alignas(1024) std::array<double, 4> data{};
   auto w1 = make_node();
   auto w2 = make_node();
+  auto r = make_node();
   reg(t, w1, {sigrt::dep::out(&data[0])});
-  EXPECT_EQ(reg(t, w2, {sigrt::dep::out(&data[1])}), 1u);
+  EXPECT_EQ(reg(t, w2, {sigrt::dep::out(&data[1])}), 0u);
+  // A reader of the bytes between the two writes depends on neither.
+  EXPECT_EQ(reg(t, r, {sigrt::dep::in(&data[2], 2)}), 0u);
+}
+
+TEST(BlockTracker, OneByteTrueOverlapIsOrdered) {
+  BlockTracker t;
+  alignas(64) std::array<unsigned char, 64> data{};
+  auto w1 = make_node();
+  auto w2 = make_node();
+  auto r = make_node();
+  reg(t, w1, {sigrt::dep::out(&data[0], 8)});
+  // [7, 15) shares byte 7 with [0, 8).
+  EXPECT_EQ(reg(t, w2, {sigrt::dep::out(&data[7], 8)}), 1u);
+  // A one-byte read of byte 7 depends on its last writer only.
+  EXPECT_EQ(reg(t, r, {sigrt::dep::in(&data[7], 1)}), 1u);
+  EXPECT_EQ(complete(t, *w1).size(), 1u);
+  EXPECT_EQ(complete(t, *w2).size(), 1u);
+}
+
+TEST(BlockTracker, Listing1RowsAreIndependent) {
+  // The paper's Listing 1 footprint: every row task reads the whole
+  // 512x512 image and writes its own 512 B output row.  The output buffer
+  // sits 16 B past a 1 KiB boundary (where a large heap allocation lands),
+  // so a 1 KiB block tracker would chain every row to the next (509 WAW
+  // edges over 510 rows); byte ranges find no edge at all.
+  constexpr std::size_t kW = 512;
+  constexpr std::size_t kH = 512;
+  std::vector<unsigned char> img(kW * kH);
+  std::vector<unsigned char> storage(kW * kH + 2048);
+  const auto base = reinterpret_cast<std::uintptr_t>(storage.data());
+  unsigned char* res = storage.data() + ((1024 - base % 1024) % 1024) + 16;
+
+  BlockTracker t(16);
+  std::vector<std::shared_ptr<Node>> nodes;
+  std::size_t edges = 0;
+  for (std::size_t i = 1; i + 1 < kH; ++i) {
+    auto n = make_node();
+    edges += reg(t, n,
+                 {sigrt::dep::in(img.data(), kW * kH),
+                  sigrt::dep::out(res + i * kW, kW)});
+    nodes.push_back(n);
+  }
+  EXPECT_EQ(nodes.size(), 510u);
+  EXPECT_EQ(edges, 0u);
+  EXPECT_EQ(t.stats().edges, 0u);
+  for (auto& n : nodes) EXPECT_TRUE(complete(t, *n).empty());
+  EXPECT_EQ(t.stats().live_regions, 0u);
+}
+
+// Node that counts its lifetime hooks, to check that every pin a split
+// adds is dropped again.
+class CountingNode : public Node {
+ public:
+  void ref_retain() noexcept override { ++retains; }
+  void ref_release() noexcept override { ++releases; }
+  int retains = 0;
+  int releases = 0;
+};
+
+TEST(BlockTracker, SplitFragmentsMergeBackAndReleaseTheirPins) {
+  BlockTracker t(1);
+  alignas(64) std::array<unsigned char, 256> data{};
+  CountingNode w;
+  CountingNode r1;
+  CountingNode r2;
+  CountingNode w2;
+  std::vector<Access> wa{sigrt::dep::out(data.data(), data.size())};
+  t.register_node(&w, wa);
+  // Two readers inside the written range cut it into five fragments.
+  std::vector<Access> ra1{sigrt::dep::in(&data[32], 32)};
+  std::vector<Access> ra2{sigrt::dep::in(&data[128], 64)};
+  EXPECT_EQ(t.register_node(&r1, ra1), 1u);
+  EXPECT_EQ(t.register_node(&r2, ra2), 1u);
+  EXPECT_EQ(t.stats().live_regions, 5u);
+  std::vector<Node*> out;
+  t.complete(r1, out);
+  // [0,32) [32,64) [64,128) hold the same writer again and merge.
+  EXPECT_EQ(t.stats().live_regions, 3u);
+  // A writer over the middle displaces w there and r2's [128,192) tail.
+  std::vector<Access> wa2{sigrt::dep::out(&data[100], 60)};
+  EXPECT_EQ(t.register_node(&w2, wa2), 2u);
+  t.complete(w, out);
+  t.complete(r2, out);
+  t.complete(w2, out);
+  EXPECT_EQ(t.stats().live_regions, 0u);
+  // w handed out r1, r2 and w2; r2 handed out w2.
+  EXPECT_EQ(out.size(), 4u);
+  for (Node* n : out) n->ref_release();  // the caller adopts each entry
+  for (const CountingNode* n : {&w, &r1, &r2, &w2}) {
+    EXPECT_EQ(n->retains, n->releases);
+  }
+}
+
+TEST(BlockTracker, StaleBytesInAnotherStripeDeriveNoEdge) {
+  // Two stripes; granules [0,64) and [64,128) of the buffer take one each.
+  BlockTracker t(2);
+  alignas(128) std::array<unsigned char, 128> data{};
+  auto wa = make_node();
+  auto wb = make_node();
+  auto wc = make_node();
+  auto r = make_node();
+  reg(t, wa, {sigrt::dep::out(&data[0], 128)});  // both stripes
+  EXPECT_EQ(reg(t, wb, {sigrt::dep::out(&data[64], 64)}), 1u);
+  EXPECT_EQ(reg(t, wc, {sigrt::dep::out(&data[0], 64)}), 1u);
+  // Each byte's last writer is wc or wb.  wa still names [64,128) in the
+  // first stripe and [0,64) in the second, but neither stripe owns those
+  // bytes, so wa is no predecessor.
+  EXPECT_EQ(reg(t, r, {sigrt::dep::in(&data[0], 128)}), 2u);
+  const std::vector<Node*> from_wa = complete(t, *wa);
+  ASSERT_EQ(from_wa.size(), 2u);
+  EXPECT_TRUE(from_wa[0] != r.get() && from_wa[1] != r.get());
+}
+
+TEST(BlockTracker, WideClauseDerivesEachEdgeOnce) {
+  BlockTracker t;
+  // 64 KiB covers every stripe; two narrow writers at far ends of it.
+  std::vector<unsigned char> data(64 * 1024);
+  auto w1 = make_node();
+  auto w2 = make_node();
+  auto r = make_node();
+  reg(t, w1, {sigrt::dep::out(&data[100], 10)});
+  reg(t, w2, {sigrt::dep::out(&data[60000], 10)});
+  EXPECT_EQ(reg(t, r, {sigrt::dep::in(data.data(), data.size())}), 2u);
+  // Overwriting w1's bytes elsewhere leaves the wide reader's view exact:
+  // a writer of [100,110) depends on w1 (WAW) and r (WAR) only.
+  auto w3 = make_node();
+  EXPECT_EQ(reg(t, w3, {sigrt::dep::out(&data[100], 10)}), 2u);
 }
 
 TEST(BlockTracker, ChainOfWritersLinksPairwise) {
-  BlockTracker t(64);
+  BlockTracker t;
   alignas(64) std::array<int, 16> data{};
   std::vector<std::shared_ptr<Node>> nodes;
   for (int i = 0; i < 5; ++i) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/sigrt.hpp"
 
@@ -96,7 +97,55 @@ TEST(Stats, TrackerStatsVisibleThroughRuntime) {
   rt.spawn(sigrt::task([] {}).out(area, 512));
   rt.wait_all();
   EXPECT_GE(rt.tracker().stats().registered_nodes, 1u);
-  EXPECT_GE(rt.tracker().stats().blocks_touched, 1u);
+}
+
+TEST(Stats, TrackerHoldsNoRegionAfterWaitAll) {
+  // Threaded, with overlapping wide reads, narrow writes and inout chains:
+  // once every task completed, every region is erased and no task is
+  // pinned (a leaked pin would also keep its pool slot from recycling).
+  RuntimeConfig c;
+  c.workers = 3;
+  c.policy = PolicyKind::GTB;
+  Runtime rt(c);
+  static std::vector<unsigned char> image(64 * 1024);
+  static std::vector<unsigned char> rows(64 * 512);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < 64; ++i) {
+      rt.spawn(sigrt::task([] {})
+                   .significance(0.5)
+                   .in(image.data(), image.size())
+                   .out(rows.data() + i * 512, 512));
+      rt.spawn(sigrt::task([] {}).inout(rows.data() + i * 512 + 100, 600));
+    }
+    rt.spawn(sigrt::task([] {}).inout(image.data() + 1000, 3000));
+    rt.wait_all();
+    EXPECT_EQ(rt.tracker().stats().live_regions, 0u) << "round " << round;
+  }
+  EXPECT_GT(rt.stats().dep_edges, 0u);
+}
+
+TEST(Stats, RuntimeCountersOnlyGoUpAcrossGroupResets) {
+  // perfbench's pattern: reset the group's report after every run.  The
+  // group report restarts from zero; the runtime-wide counters do not.
+  RuntimeConfig c;
+  c.workers = 2;
+  c.policy = PolicyKind::Agnostic;
+  Runtime rt(c);
+  const auto g = rt.create_group("rounds", 1.0);
+  const std::uint64_t spawned0 = rt.stats().spawned;
+  const std::uint64_t accurate0 = rt.stats().accurate;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 100; ++i) rt.spawn(sigrt::task([] {}).group(g));
+    rt.wait_group(g);
+    EXPECT_EQ(rt.group_report(g).spawned, 100u) << "round " << round;
+    rt.group(g).reset_stats();
+    const sigrt::GroupReport after = rt.group_report(g);
+    EXPECT_EQ(after.spawned, 0u);
+    EXPECT_EQ(after.accurate + after.approximate + after.dropped, 0u);
+  }
+  EXPECT_EQ(rt.stats().spawned - spawned0, 300u);
+  EXPECT_EQ(rt.stats().accurate - accurate0, 300u);
+  EXPECT_EQ(rt.group(g).totals().spawned, 300u);
 }
 
 TEST(Dump, StateSnapshotIsWellFormed) {
