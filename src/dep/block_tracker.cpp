@@ -52,26 +52,11 @@ void BlockTracker::lock_stripes(std::uint64_t mask) noexcept {
   }
 }
 
-std::size_t BlockTracker::first_after(Stripe& st, std::uint64_t addr) {
-  // A region starting at addr is the answer: the one before it ends at or
-  // below addr.
-  std::uint32_t& hint =
-      st.hints[(addr * 0x9E3779B97F4A7C15ULL) >> (64 - std::countr_zero(kHints))];
-  if (hint < st.bounds.size() && st.bounds[hint].lo == addr) return hint;
-  // Branch-free binary search: the halving step is arithmetic, so a lookup
-  // costs no mispredicted branches.
-  const Bounds* base = st.bounds.data();
-  std::size_t n = st.bounds.size();
-  if (n == 0) return 0;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base += static_cast<std::size_t>(base[half - 1].hi <= addr) * half;
-    n -= half;
-  }
-  const std::size_t i =
-      static_cast<std::size_t>(base - st.bounds.data()) + (base->hi <= addr);
-  hint = static_cast<std::uint32_t>(i);
-  return i;
+std::size_t BlockTracker::first_after(const Stripe& st, std::uint64_t addr) {
+  const auto it = std::partition_point(
+      st.regions.begin(), st.regions.end(),
+      [addr](const Region& r) { return r.hi <= addr; });
+  return static_cast<std::size_t>(it - st.regions.begin());
 }
 
 BlockTracker::Region& BlockTracker::insert(Stripe& st, std::size_t i,
@@ -81,11 +66,9 @@ BlockTracker::Region& BlockTracker::insert(Stripe& st, std::size_t i,
     readers.swap(st.spare.back());
     st.spare.pop_back();
   }
-  const auto at = static_cast<std::ptrdiff_t>(i);
-  st.bounds.insert(st.bounds.begin() + at, Bounds{lo, hi});
   // Moving regions up moves their reader lists' buffers; nothing is freed.
-  return *st.regions.insert(st.regions.begin() + at,
-                            Region{nullptr, std::move(readers)});
+  return *st.regions.insert(st.regions.begin() + static_cast<std::ptrdiff_t>(i),
+                            Region{lo, hi, nullptr, std::move(readers)});
 }
 
 void BlockTracker::erase(Stripe& st, std::size_t i) {
@@ -94,15 +77,13 @@ void BlockTracker::erase(Stripe& st, std::size_t i) {
     r.readers.clear();
     st.spare.push_back(std::move(r.readers));
   }
-  const auto at = static_cast<std::ptrdiff_t>(i);
-  st.bounds.erase(st.bounds.begin() + at);
-  st.regions.erase(st.regions.begin() + at);
+  st.regions.erase(st.regions.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void BlockTracker::split(Stripe& st, std::size_t i, std::uint64_t at,
                          Pins& pins) {
-  const std::uint64_t hi = st.bounds[i].hi;
-  st.bounds[i].hi = at;
+  const std::uint64_t hi = st.regions[i].hi;
+  st.regions[i].hi = at;
   Region& copy = insert(st, i + 1, at, hi);
   const Region& orig = st.regions[i];  // after insert: it may reallocate
   copy.writer = orig.writer;
@@ -112,13 +93,13 @@ void BlockTracker::split(Stripe& st, std::size_t i, std::uint64_t at,
 }
 
 bool BlockTracker::merge_into_prev(Stripe& st, std::size_t i, Pins& pins) {
-  if (st.bounds[i - 1].hi != st.bounds[i].lo) return false;
-  const Region& a = st.regions[i - 1];
+  Region& a = st.regions[i - 1];
   const Region& b = st.regions[i];
-  if (is_vacant(b) || a.writer != b.writer || a.readers != b.readers) {
+  if (a.hi != b.lo || is_vacant(b) || a.writer != b.writer ||
+      a.readers != b.readers) {
     return false;
   }
-  st.bounds[i - 1].hi = st.bounds[i].hi;
+  a.hi = b.hi;
   if (b.writer != nullptr) pins.drop(b.writer);
   for (Node* r : b.readers) pins.drop(r);
   erase(st, i);
@@ -133,15 +114,11 @@ void BlockTracker::sweep(Stripe& st) {
       if (r.readers.capacity() != 0) st.spare.push_back(std::move(r.readers));
       continue;
     }
-    if (kept != i) {
-      st.bounds[kept] = st.bounds[i];
-      st.regions[kept] = std::move(r);
-    }
+    if (kept != i) st.regions[kept] = std::move(r);
     ++kept;
   }
-  const auto end = static_cast<std::ptrdiff_t>(kept);
-  st.bounds.erase(st.bounds.begin() + end, st.bounds.end());
-  st.regions.erase(st.regions.begin() + end, st.regions.end());
+  st.regions.erase(st.regions.begin() + static_cast<std::ptrdiff_t>(kept),
+                   st.regions.end());
   st.vacant = 0;
 }
 
@@ -175,26 +152,26 @@ std::size_t BlockTracker::record(unsigned s, std::uint64_t lo, std::uint64_t hi,
   std::size_t i = first_after(st, lo);
   // A region straddling the clause's start splits there; one straddling
   // its end splits when the walk reaches it.
-  if (i < st.regions.size() && st.bounds[i].lo < lo) {
+  if (i < st.regions.size() && st.regions[i].lo < lo) {
     if (is_vacant(st.regions[i])) {
-      st.bounds[i].lo = lo;  // the part cut off held no history
+      st.regions[i].lo = lo;  // the part cut off held no history
     } else {
       split(st, i++, lo, pins);
     }
   }
   for (std::uint64_t cur = lo; cur < hi;) {
-    const bool gap = i == st.regions.size() || st.bounds[i].lo > cur;
+    const bool gap = i == st.regions.size() || st.regions[i].lo > cur;
     if (gap || is_vacant(st.regions[i])) {
       // No history here: the node parks in a fresh region, or takes over
       // a vacant one trimmed to the clause.
       Region* r = nullptr;
       if (gap) {
         const std::uint64_t end =
-            i == st.regions.size() ? hi : std::min(hi, st.bounds[i].lo);
+            i == st.regions.size() ? hi : std::min(hi, st.regions[i].lo);
         r = &insert(st, i, cur, end);
       } else {
         r = &st.regions[i];
-        if (st.bounds[i].hi > hi) st.bounds[i].hi = hi;
+        if (st.regions[i].hi > hi) st.regions[i].hi = hi;
         --st.vacant;
       }
       if (writes(mode)) {
@@ -204,13 +181,13 @@ std::size_t BlockTracker::record(unsigned s, std::uint64_t lo, std::uint64_t hi,
       }
       ++pins.parks;
     } else {
-      if (st.bounds[i].hi > hi) split(st, i, hi, pins);
+      if (st.regions[i].hi > hi) split(st, i, hi, pins);
       Region& r = st.regions[i];
       // Edges come only from a region holding a byte of this stripe's own
       // granules; the other bytes' stripes derive theirs.
       const bool derive =
           (r.writer != nullptr || (writes(mode) && !r.readers.empty())) &&
-          owns(s, st.bounds[i].lo, st.bounds[i].hi);
+          owns(s, r.lo, r.hi);
       // RAW (a read) or WAW (a write) on the last writer.
       if (derive && link(r.writer, node, stamp)) ++edges;
       if (writes(mode)) {
@@ -235,7 +212,7 @@ std::size_t BlockTracker::record(unsigned s, std::uint64_t lo, std::uint64_t hi,
         ++pins.parks;
       }
     }
-    cur = st.bounds[i].hi;
+    cur = st.regions[i].hi;
     if (i == 0 || !merge_into_prev(st, i, pins)) ++i;
   }
   // The clause's last region may now equal the region after it.
@@ -253,7 +230,9 @@ std::size_t BlockTracker::register_node(Node* node,
   const std::uint64_t stamp = stamp_.fetch_add(1, std::memory_order_relaxed);
   registered_nodes_.fetch_add(1, std::memory_order_relaxed);
 
-  // Pass 1 (no locks): the clause ranges and the footprint's stripe set.
+  // Pass 1 (no locks): the clause ranges, the footprint's stripe set and
+  // the last clause recorded in each of those stripes.
+  std::array<std::uint32_t, kMaxStripes> last_clause{};
   std::uint64_t mask = 0;
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
@@ -261,15 +240,14 @@ std::size_t BlockTracker::register_node(Node* node,
         static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(a.ptr));
     const std::uint64_t hi = lo + a.bytes;
     const std::uint64_t stripes = stripe_mask(lo, hi);
-    node->ranges_.push_back({lo, hi, stripes, 0});
+    for (std::uint64_t m = stripes; m != 0; m &= m - 1) {
+      last_clause[static_cast<unsigned>(std::countr_zero(m))] =
+          static_cast<std::uint32_t>(node->ranges_.size());
+    }
+    node->ranges_.push_back({lo, hi, stripes});
     mask |= stripes;
   }
   if (mask == 0) return 0;
-  std::uint64_t later = 0;
-  for (auto r = node->ranges_.rbegin(); r != node->ranges_.rend(); ++r) {
-    r->last_use = r->stripes & ~later;
-    later |= r->stripes;
-  }
 
   // A registration that takes a stripe this one released early (below) may
   // split or displace this node's pins before its last clause is done; a
@@ -289,17 +267,16 @@ std::size_t BlockTracker::register_node(Node* node,
 
   Pins pins{node};
   std::size_t predecessors = 0;
-  const Node::Range* range = node->ranges_.data();
+  std::uint32_t clause = 0;
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    for (std::uint64_t m = range->stripes; m != 0; m &= m - 1) {
-      predecessors += record(static_cast<unsigned>(std::countr_zero(m)),
-                             range->lo, range->hi, a.mode, stamp, pins);
+    const Node::Range& range = node->ranges_[clause];
+    for (std::uint64_t m = range.stripes; m != 0; m &= m - 1) {
+      const auto s = static_cast<unsigned>(std::countr_zero(m));
+      predecessors += record(s, range.lo, range.hi, a.mode, stamp, pins);
+      if (last_clause[s] == clause) stripes_[s].lock.unlock();
     }
-    for (std::uint64_t m = range->last_use; m != 0; m &= m - 1) {
-      stripes_[static_cast<unsigned>(std::countr_zero(m))].lock.unlock();
-    }
-    ++range;
+    ++clause;
   }
   // Trade the hold for the pins actually parked.
   assert(pins.parks > 0 && pins.parks < kPinHold);
@@ -341,7 +318,7 @@ void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
       if ((range.stripes >> s & 1) == 0) continue;
       std::size_t i = first_after(st, range.lo);
       bool changed = false;
-      while (i < st.regions.size() && st.bounds[i].lo < range.hi) {
+      while (i < st.regions.size() && st.regions[i].lo < range.hi) {
         Region& r = st.regions[i];
         changed = false;
         if (r.writer == &node) {

@@ -34,8 +34,8 @@
 //     the same bytes, so a recurring footprint does not reshape the map.
 //     Vacant regions are swept out in bulk once they outnumber the live
 //     ones, so a map holds only the fragments of clauses in flight plus a
-//     bounded slack.  Reader lists are reset, never freed, preserving the
-//     zero-allocation steady state.
+//     bounded slack.  Reader lists are reset, never freed, so a map that
+//     has reached its high-water shape allocates nothing.
 //   * Authority.  A stripe is authoritative for the bytes of its own
 //     granules: every clause covering such a byte is recorded there, so its
 //     regions hold that byte's exact history.  Edges are derived only from
@@ -179,13 +179,12 @@ class Node {
  private:
   friend class BlockTracker;
 
-  /// One registered clause: its bytes [lo, hi), the stripes that recorded
-  /// it, and those of them no later clause of the node records in.
+  /// One registered clause: its bytes [lo, hi) and the stripes that
+  /// recorded it.
   struct Range {
     std::uint64_t lo;
     std::uint64_t hi;
     std::uint64_t stripes;
-    std::uint64_t last_use;
   };
 
   /// Guards dependents_ and the done_ publish edge (node-state protocol).
@@ -233,9 +232,6 @@ class BlockTracker {
   /// Vacant regions a stripe keeps for reuse before it sweeps them.
   static constexpr std::size_t kSweepAt = 32;
 
-  /// Lookup hints per stripe (a power of two).
-  static constexpr unsigned kHints = 32;
-
   /// `stripes` selects the live stripe count — a power of two in
   /// [1, kMaxStripes]; 0 selects the ceiling.  Small machines waste no
   /// cache walking 64 mostly-empty shards; the runtime derives its value
@@ -276,15 +272,11 @@ class BlockTracker {
   [[nodiscard]] unsigned stripe_count() const noexcept { return stripe_count_; }
 
  private:
-  /// Bytes [lo, hi) of one region.
-  struct Bounds {
+  /// One region: the bytes [lo, hi), the last writer and the readers since
+  /// that write.  Each non-null entry is one pin of that node.
+  struct Region {
     std::uint64_t lo;
     std::uint64_t hi;
-  };
-
-  /// History of one region: the last writer and the readers since that
-  /// write.  Each non-null entry is one pin of that node.
-  struct Region {
     Node* writer;
     std::vector<Node*> readers;
   };
@@ -295,21 +287,10 @@ class BlockTracker {
     mutable support::SpinLock lock;
     /// Regions left vacant by complete(), not yet reused or swept.
     std::size_t vacant SIGRT_GUARDED_BY(lock) = 0;
-    /// The ordered map: bounds[i] and regions[i] describe one region;
-    /// bounds are ordered by lo and pairwise disjoint.  They live apart
-    /// from the history so that lookups and neighbour checks read lines
-    /// that change only when the map's shape does, not on every reader or
-    /// writer update.
-    std::vector<Bounds> bounds SIGRT_GUARDED_BY(lock);
+    /// The ordered map: regions ordered by lo, pairwise disjoint.
     std::vector<Region> regions SIGRT_GUARDED_BY(lock);
     /// Reader lists of erased regions, capacity kept for the next insert.
     std::vector<std::vector<Node*>> spare SIGRT_GUARDED_BY(lock);
-    /// Lookup hints: the index a recent lookup of an address found, keyed
-    /// by a hash of the address.  A clause names the same bytes as the
-    /// clauses before it far more often than not, and regions seldom move,
-    /// so a hint usually saves the binary search; a stale one is caught by
-    /// a bounds check and costs only that search.
-    std::array<std::uint32_t, kHints> hints SIGRT_GUARDED_BY(lock){};
   };
 
   /// A vacant region holds no history: it stands for a gap whose slot a
@@ -374,10 +355,8 @@ class BlockTracker {
       SIGRT_NO_THREAD_SAFETY_ANALYSIS;
 
   // Ordered-map primitives; the caller holds the stripe's lock.
-  /// Index of the first region with hi > addr: the hinted index when a
-  /// region starts exactly at addr, else a binary search that refreshes
-  /// the hint.
-  static std::size_t first_after(Stripe& st, std::uint64_t addr)
+  /// Index of the first region with hi > addr.
+  static std::size_t first_after(const Stripe& st, std::uint64_t addr)
       SIGRT_NO_THREAD_SAFETY_ANALYSIS;
   /// Splits region i, which strictly contains `at`, in two, copying its
   /// state — one more pin for every node it names.
