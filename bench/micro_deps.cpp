@@ -8,9 +8,8 @@
 //     private cell: pure pipeline parallelism, one predecessor per task,
 //     maximal register/complete rate per cell.
 //   * stencil — a G x G tile grid swept repeatedly; each task reads its
-//     four halo neighbours (in) and updates its own tile (inout), the
-//     jacobi/fluidanimate dependence pattern: 5-cell footprints, RAW +
-//     WAR + WAW edges crossing stripe boundaries.
+//     four halo neighbours (in) and updates its own tile (inout): 5-cell
+//     footprints, RAW + WAR + WAW edges.
 //   * wide_read_<N>k — listing1's footprint: each task reads one shared
 //     N KiB buffer (in) and writes its own disjoint 512 B row (out).  No
 //     task depends on another, so the cell prices a wide clause; the 4k

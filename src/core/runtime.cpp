@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/parker.hpp"
-#include "core/topology.hpp"
 #include "fault/fault.hpp"
 #include "support/timer.hpp"
 
@@ -93,9 +92,6 @@ TaskId current_task_id() noexcept {
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(config),
-      // Dependence-tracker stripes: the CPU topology recommends ~4 per
-      // worker, a power of two within the tracker's mask-width ceiling.
-      tracker_(topo::system_topology().recommended_stripes(config.workers)),
       group_table_(new std::atomic<TaskGroup*>[kGroupFastTableSize]),
       start_ns_(support::now_ns()) {
   for (std::size_t i = 0; i < kGroupFastTableSize; ++i) {
@@ -292,14 +288,13 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   // classification (released by GtbPolicy through release_bulk) — only
   // taken when a GTB buffer exists, see below — plus one per
   // unfinished predecessor.  deps is only known *after* registration, and
-  // predecessors may complete — and decrement the gate — concurrently with
-  // it (the striped tracker hands a completing predecessor's dependents
-  // out while the successor's registration is still visiting other
-  // stripes).  Seeding the gate with a large spawn hold and then
-  // subtracting the surplus makes it impossible for those early decrements
-  // to drive the gate to zero before the dependency count is folded in
-  // (with a plain initial value of `holds`, two predecessors finishing
-  // inside the window double-enqueue the task).
+  // predecessors may complete — and decrement the gate — as soon as the
+  // tracker unlocks, before the count is folded in below.  Seeding the gate
+  // with a large spawn hold and then subtracting the surplus makes it
+  // impossible for those early decrements to drive the gate to zero before
+  // the dependency count is folded in (with a plain initial value of
+  // `holds`, two predecessors finishing inside the window double-enqueue
+  // the task).
   //
   // Without a GTB buffer (LQH/agnostic) there is no hold A: dependent
   // tasks skip the policy hop entirely — one fewer gate RMW — and are
@@ -312,7 +307,7 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   task->gate.store(kSpawnHold, std::memory_order_relaxed);
   // Footprint-free tasks bypass the tracker entirely: they can neither
   // have predecessors nor ever be one, so both the registration here and
-  // the completion lookup skip the tracker's stripe locks.
+  // the completion lookup skip the tracker's lock.
   const std::size_t deps =
       task->has_footprint ? tracker_.register_node(task.get(), options.accesses)
                           : 0;
@@ -513,11 +508,10 @@ void Runtime::execute_task(Task& task, unsigned worker) {
   }
 
   // Completion order matters: downstream tasks must only start after this
-  // task's side effects are visible.  The striped tracker guarantees it
-  // through the node-state publish protocol: complete() stores done_ with
-  // release under the node's lock, and a racing registration that skips
-  // the edge observes it with acquire (dependents handed out here ride the
-  // scheduler's publication edges instead).
+  // task's side effects are visible.  A registration that finds this task
+  // already completed takes the tracker's lock after complete() released
+  // it, which orders those effects before it; dependents handed out here
+  // ride the scheduler's publication edges instead.
   // Multiple dependents becoming runnable at once go out as one batch.
   // Scratch frames are leased from a per-thread pool (capacity-stable, so
   // steady-state completions touch no allocator) rather than being a flat

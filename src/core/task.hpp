@@ -68,7 +68,7 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
 
   /// True when the task registered in()/out() clauses with the dependence
   /// tracker.  A task without a footprint can never be named a predecessor,
-  /// so its completion skips the tracker's stripe locks entirely.
+  /// so its completion skips the tracker's lock entirely.
   bool has_footprint = false;
 
   // --- nested parallelism -------------------------------------------------

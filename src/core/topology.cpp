@@ -73,12 +73,6 @@ std::size_t parse_cache_size(const std::string& s) {
   return bytes;
 }
 
-unsigned next_pow2(unsigned v) {
-  unsigned p = 1;
-  while (p < v && p < (1u << 30)) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 Topology fallback(unsigned ncpu) {
@@ -227,13 +221,6 @@ std::size_t Topology::near_victims(unsigned self, unsigned workers) const {
     ++near;
   }
   return near;
-}
-
-unsigned Topology::recommended_stripes(unsigned workers) const noexcept {
-  if (workers == 0) workers = 1;
-  // ~4 stripes per worker; the stripe mask is one uint64_t, so 64 is the
-  // hard ceiling (see dep/block_tracker.hpp).
-  return std::clamp(next_pow2(workers * 4), 8u, 64u);
 }
 
 unsigned Topology::recommended_dispatchers(unsigned workers) const noexcept {

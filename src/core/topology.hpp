@@ -5,9 +5,9 @@
 //     LLC-sharing cores, then same package, then remote sockets) instead
 //     of uniformly at random, so a steal is a cache transfer before it is
 //     a memory round trip;
-//   * shard/stripe placement — the dependence tracker's stripe count and
-//     the serve tier's dispatcher/poller counts default to values sized
-//     from the discovered core/LLC-group counts instead of constants;
+//   * thread placement — the serve tier's dispatcher/poller counts
+//     default to values sized from the discovered LLC-group count instead
+//     of constants;
 //   * kernel tiling — the per-CPU L2 size bounds the column-strip width
 //     the Sobel row kernel tiles to (apps/sobel).
 //
@@ -64,11 +64,6 @@ struct Topology {
   /// order's size when every victim is near.
   [[nodiscard]] std::size_t near_victims(unsigned self,
                                          unsigned workers) const;
-
-  /// Dependence-tracker stripe count for `workers` workers: a power of
-  /// two in [8, 64], roughly 4 stripes per worker so stripe collisions
-  /// stay rare without blowing the stripe-mask width (uint64_t).
-  [[nodiscard]] unsigned recommended_stripes(unsigned workers) const noexcept;
 
   /// Serve-tier dispatcher thread count: one per LLC group, bounded by
   /// half the worker pool (dispatchers only route; workers execute).

@@ -1,5 +1,5 @@
 // Tiny test-and-test-and-set spinlock for critical sections of a few dozen
-// instructions (a stripe-table probe, a dependents-list append).  All
+// instructions (a dependence-region update, an EDF heap push).  All
 // synchronization goes through one std::atomic<bool>, so ThreadSanitizer
 // sees every acquire/release edge.  After a bounded burst of pause
 // instructions the waiter yields its timeslice — on an oversubscribed or

@@ -13,10 +13,10 @@
 //     SIGRT_REQUIRES(lock) — the `_locked` suffix convention, now enforced.
 //   * Static lock order is declared once, on the lock member, with
 //     SIGRT_ACQUIRED_BEFORE / SIGRT_ACQUIRED_AFTER.
-//   * Lock-free publish protocols the analysis cannot express (dynamic
-//     stripe sets, Treiber stacks, single-writer counters) are opted out
-//     per-function with SIGRT_NO_THREAD_SAFETY_ANALYSIS plus a one-line
-//     comment naming the protocol that actually protects the access.
+//   * Lock-free publish protocols the analysis cannot express (Treiber
+//     stacks, single-writer counters) are opted out per-function with
+//     SIGRT_NO_THREAD_SAFETY_ANALYSIS plus a one-line comment naming the
+//     protocol that actually protects the access.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)

@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
     param_name);
 
 // ---------------------------------------------------------------------------
-// Direct tracker oracles: the striped tracker is exercised without the
+// Direct tracker oracles: the tracker is exercised without the
 // runtime so its own contracts (edge counts, refcount balance, conflict
 // exclusion) can be checked exactly.
 
@@ -148,7 +148,7 @@ using sigrt::dep::Node;
 
 // Single-threaded reference model of the tracker's semantics: one global
 // map from each byte to its last writer and the readers since, updated
-// byte by byte in clause order.  The striped region tracker, driven
+// byte by byte in clause order.  The region tracker, driven
 // serially, must agree with it exactly — predecessor counts and the
 // dependents each completion hands out.
 class ReferenceTracker {
@@ -224,72 +224,65 @@ class ReferenceTracker {
   std::vector<RefNode> nodes_;
 };
 
-TEST(DepOracle, SerializedStripedTrackerMatchesReference) {
+TEST(DepOracle, SerializedTrackerMatchesReference) {
   constexpr std::size_t kNodes = 300;
   constexpr std::size_t kArena = 8192;
   static std::vector<std::uint8_t> arena(kArena);
 
-  // Stripe counts from one lock to the ceiling: the more stripes, the more
-  // bytes a wide clause carries into stripes that do not own them.
-  for (unsigned stripes : {1u, 2u, 8u, 64u}) {
-    for (std::uint64_t seed : {11u, 22u, 33u}) {
-      BlockTracker tracker(stripes);
-      ReferenceTracker reference(arena.data(), kArena, kNodes);
-      std::vector<Node> nodes(kNodes);
-      sigrt::support::Xoshiro256 rng(seed);
+  for (std::uint64_t seed : {11u, 22u, 33u}) {
+    BlockTracker tracker;
+    ReferenceTracker reference(arena.data(), kArena, kNodes);
+    std::vector<Node> nodes(kNodes);
+    sigrt::support::Xoshiro256 rng(seed);
 
-      std::vector<std::size_t> live;  // registered, not yet completed
-      std::size_t next = 0;
-      std::uint64_t ops = 0;
-      while (next < kNodes || !live.empty()) {
-        const bool can_register = next < kNodes;
-        const bool do_register =
-            can_register && (live.empty() || rng.bounded(2) == 0);
-        if (do_register) {
-          std::vector<Access> accesses;
-          const std::size_t n = 1 + rng.bounded(3);
-          for (std::size_t a = 0; a < n; ++a) {
-            const std::size_t off = rng.bounded(kArena - 1);
-            // Mostly narrow clauses (a few granules), some wide enough to
-            // take every stripe.
-            const std::size_t max_bytes = rng.bounded(4) == 0 ? kArena / 2 : 256;
-            std::size_t bytes = 1 + rng.bounded(max_bytes);
-            if (off + bytes > kArena) bytes = kArena - off;
-            const auto m = rng.bounded(3);
-            accesses.push_back(
-                {arena.data() + off, bytes,
-                 m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut)});
-          }
-          const std::size_t got = tracker.register_node(&nodes[next], accesses);
-          const std::size_t want = reference.register_node(next, accesses);
-          ASSERT_EQ(got, want) << "register #" << next << " seed " << seed
-                               << " stripes " << stripes;
-          live.push_back(next);
-          ++next;
-        } else {
-          const std::size_t pick = rng.bounded(live.size());
-          const std::size_t id = live[pick];
-          live[pick] = live.back();
-          live.pop_back();
-          std::vector<Node*> out;
-          tracker.complete(nodes[id], out);
-          std::vector<std::size_t> got;
-          got.reserve(out.size());
-          for (Node* n : out) {
-            got.push_back(static_cast<std::size_t>(n - nodes.data()));
-          }
-          std::vector<std::size_t> want = reference.complete(id);
-          std::sort(got.begin(), got.end());
-          std::sort(want.begin(), want.end());
-          ASSERT_EQ(got, want) << "complete #" << id << " seed " << seed
-                               << " stripes " << stripes;
+    std::vector<std::size_t> live;  // registered, not yet completed
+    std::size_t next = 0;
+    std::uint64_t ops = 0;
+    while (next < kNodes || !live.empty()) {
+      const bool can_register = next < kNodes;
+      const bool do_register =
+          can_register && (live.empty() || rng.bounded(2) == 0);
+      if (do_register) {
+        std::vector<Access> accesses;
+        const std::size_t n = 1 + rng.bounded(3);
+        for (std::size_t a = 0; a < n; ++a) {
+          const std::size_t off = rng.bounded(kArena - 1);
+          // Mostly narrow clauses, some spanning half the arena.
+          const std::size_t max_bytes = rng.bounded(4) == 0 ? kArena / 2 : 256;
+          std::size_t bytes = 1 + rng.bounded(max_bytes);
+          if (off + bytes > kArena) bytes = kArena - off;
+          const auto m = rng.bounded(3);
+          accesses.push_back(
+              {arena.data() + off, bytes,
+               m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut)});
         }
-        ++ops;
+        const std::size_t got = tracker.register_node(&nodes[next], accesses);
+        const std::size_t want = reference.register_node(next, accesses);
+        ASSERT_EQ(got, want) << "register #" << next << " seed " << seed;
+        live.push_back(next);
+        ++next;
+      } else {
+        const std::size_t pick = rng.bounded(live.size());
+        const std::size_t id = live[pick];
+        live[pick] = live.back();
+        live.pop_back();
+        std::vector<Node*> out;
+        tracker.complete(nodes[id], out);
+        std::vector<std::size_t> got;
+        got.reserve(out.size());
+        for (Node* n : out) {
+          got.push_back(static_cast<std::size_t>(n - nodes.data()));
+        }
+        std::vector<std::size_t> want = reference.complete(id);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(got, want) << "complete #" << id << " seed " << seed;
       }
-      ASSERT_EQ(ops, kNodes * 2);
-      // Every region is erased once its clauses complete.
-      EXPECT_EQ(tracker.stats().live_regions, 0u);
+      ++ops;
     }
+    ASSERT_EQ(ops, kNodes * 2);
+    // Every region is erased once its clauses complete.
+    EXPECT_EQ(tracker.stats().live_regions, 0u);
   }
 }
 

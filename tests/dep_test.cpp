@@ -100,15 +100,17 @@ TEST(BlockTracker, CompleteReturnsDependents) {
   EXPECT_EQ(deps.size(), 2u);
 }
 
-TEST(BlockTracker, MultiStripeAccessDeduplicatesEdges) {
+TEST(BlockTracker, TwoClausesOverOneWriterDeriveOneEdge) {
   BlockTracker t;
-  // 1024 bytes span 16 granules, so both clauses land in 16 stripes; still
+  // The reader's two clauses each overlap the writer's range; still
   // exactly one edge to the writer.
   alignas(64) std::array<int, 256> data{};
   auto w = make_node();
   auto r = make_node();
   reg(t, w, {sigrt::dep::out(data.data(), data.size())});
-  EXPECT_EQ(reg(t, r, {sigrt::dep::in(data.data(), data.size())}), 1u);
+  EXPECT_EQ(reg(t, r,
+                {sigrt::dep::in(&data[0], 64), sigrt::dep::in(&data[128], 64)}),
+            1u);
   EXPECT_EQ(complete(t, *w).size(), 1u);
 }
 
@@ -165,7 +167,7 @@ TEST(BlockTracker, ResetForgetsHistory) {
 }
 
 TEST(BlockTracker, StatsCountEdgesAndLiveRegions) {
-  BlockTracker t(1);  // one stripe: every clause is one region
+  BlockTracker t;
   alignas(64) std::array<int, 32> data{};
   auto w = make_node();
   auto r = make_node();
@@ -221,7 +223,7 @@ TEST(BlockTracker, Listing1RowsAreIndependent) {
   const auto base = reinterpret_cast<std::uintptr_t>(storage.data());
   unsigned char* res = storage.data() + ((1024 - base % 1024) % 1024) + 16;
 
-  BlockTracker t(16);
+  BlockTracker t;
   std::vector<std::shared_ptr<Node>> nodes;
   std::size_t edges = 0;
   for (std::size_t i = 1; i + 1 < kH; ++i) {
@@ -249,7 +251,7 @@ class CountingNode : public Node {
 };
 
 TEST(BlockTracker, SplitFragmentsMergeBackAndReleaseTheirPins) {
-  BlockTracker t(1);
+  BlockTracker t;
   alignas(64) std::array<unsigned char, 256> data{};
   CountingNode w;
   CountingNode r1;
@@ -282,29 +284,39 @@ TEST(BlockTracker, SplitFragmentsMergeBackAndReleaseTheirPins) {
   }
 }
 
-TEST(BlockTracker, StaleBytesInAnotherStripeDeriveNoEdge) {
-  // Two stripes; granules [0,64) and [64,128) of the buffer take one each.
-  BlockTracker t(2);
+TEST(BlockTracker, WriterWhoseBytesWereAllOverwrittenIsNoPredecessor) {
+  BlockTracker t;
   alignas(128) std::array<unsigned char, 128> data{};
   auto wa = make_node();
   auto wb = make_node();
   auto wc = make_node();
   auto r = make_node();
-  reg(t, wa, {sigrt::dep::out(&data[0], 128)});  // both stripes
+  reg(t, wa, {sigrt::dep::out(&data[0], 128)});
   EXPECT_EQ(reg(t, wb, {sigrt::dep::out(&data[64], 64)}), 1u);
   EXPECT_EQ(reg(t, wc, {sigrt::dep::out(&data[0], 64)}), 1u);
-  // Each byte's last writer is wc or wb.  wa still names [64,128) in the
-  // first stripe and [0,64) in the second, but neither stripe owns those
-  // bytes, so wa is no predecessor.
+  // Each byte's last writer is wc or wb; wa, though not yet complete,
+  // wrote no byte the reader can see, so it is no predecessor.
   EXPECT_EQ(reg(t, r, {sigrt::dep::in(&data[0], 128)}), 2u);
   const std::vector<Node*> from_wa = complete(t, *wa);
   ASSERT_EQ(from_wa.size(), 2u);
   EXPECT_TRUE(from_wa[0] != r.get() && from_wa[1] != r.get());
 }
 
+TEST(BlockTracker, WideClauseIsOneRegion) {
+  // Listing 1's in(whole image): one clause over 256 KiB is one region,
+  // whatever its length, and nothing is left once it completes.
+  BlockTracker t;
+  std::vector<unsigned char> data(256 * 1024);
+  auto r = make_node();
+  EXPECT_EQ(reg(t, r, {sigrt::dep::in(data.data(), data.size())}), 0u);
+  EXPECT_EQ(t.stats().live_regions, 1u);
+  EXPECT_TRUE(complete(t, *r).empty());
+  EXPECT_EQ(t.stats().live_regions, 0u);
+}
+
 TEST(BlockTracker, WideClauseDerivesEachEdgeOnce) {
   BlockTracker t;
-  // 64 KiB covers every stripe; two narrow writers at far ends of it.
+  // A 64 KiB read over two narrow writers at far ends of it.
   std::vector<unsigned char> data(64 * 1024);
   auto w1 = make_node();
   auto w2 = make_node();
