@@ -11,48 +11,32 @@ namespace sigrt {
 TaskGroup::TaskGroup(GroupId id, std::string name, double ratio, bool record_log)
     : id_(id), name_(std::move(name)), record_log_(record_log), ratio_(ratio) {}
 
-void TaskGroup::on_spawn(bool internal) noexcept {
-  // Both relaxed: spawn-side increments are ordered before the task's
-  // publication by the scheduler's release edges; the completion-side
-  // decrement keeps acq_rel so barrier waiters see an ordered zero
-  // crossing.
-  if (!internal) spawned_.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void TaskGroup::on_complete(ExecutionKind kind, float significance,
-                            double requested, bool internal,
-                            unsigned worker_slot) noexcept {
-  if (!internal) {
-    switch (kind) {
-      case ExecutionKind::Accurate:
-        accurate_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ExecutionKind::Approximate:
-        approximate_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ExecutionKind::Dropped:
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case ExecutionKind::Undecided:
-        // execute_task normalizes before completion; an Undecided arrival
-        // would silently break spawned == accurate+approximate+dropped.
-        assert(false && "Undecided task reached completion accounting");
-        break;
-    }
-    if (record_log_) {
-      // Worker shards have a single writer, so this lock is uncontended on
-      // the completion hot path (it only ever waits on a report() merge);
-      // the shared fallback shard is the one place writers can collide.
-      LogShard& shard = shard_for(worker_slot);
-      support::MutexLock lock(shard.mutex);
-      shard.log.push_back({significance, kind});
-      shard.requested_mass += requested;
-    }
+                            double requested, unsigned worker_slot) noexcept {
+  Shard& shard = shard_for(worker_slot);
+  switch (kind) {
+    case ExecutionKind::Accurate:
+      shard.accurate.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case ExecutionKind::Approximate:
+      shard.approximate.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case ExecutionKind::Dropped:
+      shard.dropped.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case ExecutionKind::Undecided:
+      // execute_task normalizes before completion; an Undecided arrival
+      // would silently break spawned == accurate+approximate+dropped.
+      assert(false && "Undecided task reached completion accounting");
+      break;
   }
-
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    waiters_.notify_all();  // last task: wake the group's barrier waiters
+  if (record_log_) {
+    // Worker shards have a single writer, so this lock is uncontended on
+    // the completion hot path (it only ever waits on a report() merge);
+    // the shared fallback shard is the one place writers can collide.
+    support::MutexLock lock(shard.mutex);
+    shard.log.push_back({significance, kind});
+    shard.requested_mass += requested;
   }
 }
 
@@ -83,7 +67,7 @@ GroupReport TaskGroup::report() const {
   // completing is approximate.
   std::size_t log_size = 0;
   double requested_mass = 0.0;
-  for (const LogShard& shard : log_shards_) {
+  for (const Shard& shard : shards_) {
     support::MutexLock lock(shard.mutex);
     log_size += shard.log.size();
     requested_mass += shard.requested_mass;
@@ -105,7 +89,7 @@ GroupReport TaskGroup::report() const {
   if (log_size > 0 && total > 0 && r.accurate > 0 && r.accurate < log_size) {
     std::vector<float> sigs;
     sigs.reserve(log_size);
-    for (const LogShard& shard : log_shards_) {
+    for (const Shard& shard : shards_) {
       support::MutexLock lock(shard.mutex);
       for (const TaskRecord& t : shard.log) sigs.push_back(t.significance);
     }
@@ -118,7 +102,7 @@ GroupReport TaskGroup::report() const {
 
     std::uint64_t inversed = 0;
     std::size_t scanned = 0;
-    for (const LogShard& shard : log_shards_) {
+    for (const Shard& shard : shards_) {
       support::MutexLock lock(shard.mutex);
       for (const TaskRecord& t : shard.log) {
         if (t.kind == ExecutionKind::Accurate && t.significance < cutoff) {
@@ -140,10 +124,12 @@ GroupReport TaskGroup::report() const {
 
 GroupCounts TaskGroup::totals() const noexcept {
   GroupCounts c;
-  c.spawned = spawned_.load(std::memory_order_relaxed);
-  c.accurate = accurate_.load(std::memory_order_relaxed);
-  c.approximate = approximate_.load(std::memory_order_relaxed);
-  c.dropped = dropped_.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    c.spawned += shard.spawned.load(std::memory_order_relaxed);
+    c.accurate += shard.accurate.load(std::memory_order_relaxed);
+    c.approximate += shard.approximate.load(std::memory_order_relaxed);
+    c.dropped += shard.dropped.load(std::memory_order_relaxed);
+  }
   c.redone = redone_.load(std::memory_order_relaxed);
   c.corrupted_detected = corrupted_detected_.load(std::memory_order_relaxed);
   return c;
@@ -155,7 +141,7 @@ void TaskGroup::reset_stats() {
     support::MutexLock lock(baseline_mutex_);
     baseline_ = now;
   }
-  for (LogShard& shard : log_shards_) {
+  for (Shard& shard : shards_) {
     support::MutexLock lock(shard.mutex);
     shard.log.clear();
     shard.requested_mass = 0.0;

@@ -73,8 +73,13 @@ struct GroupReport : GroupCounts {
   double inversion_fraction = 0.0;
 };
 
-/// Thread-safe group state.  The master spawns into it; workers complete
-/// tasks against it; any thread may barrier-wait on it.
+/// Thread-safe group state.  Spawners (any thread) count tasks into it;
+/// workers complete tasks against it; any thread may barrier-wait on it.
+///
+/// The task counters are sharded per worker slot: a spawn or completion
+/// bumps the calling slot's shard, so the worker-side task path writes no
+/// line another worker writes.  totals() and report() sum the shards; they
+/// are approximate while tasks run and exact after a barrier.
 class TaskGroup {
  public:
   TaskGroup(GroupId id, std::string name, double ratio, bool record_log);
@@ -95,20 +100,27 @@ class TaskGroup {
     return ratio_.load(std::memory_order_relaxed);
   }
 
-  /// Spawn side (any thread): a task joined this group.  Internal tasks
-  /// (wait_on fences) count toward the barrier (`pending`) but not toward
-  /// `spawned`, mirroring on_complete's exclusion — so every report obeys
-  /// spawned == accurate + approximate + dropped once the group quiesces.
-  void on_spawn(bool internal = false) noexcept;
+  /// Sentinel worker_slot for callers with no worker identity.
+  static constexpr unsigned kNoWorkerSlot = ~0u;
 
-  /// Worker side: a task of this group finished with outcome `kind`.
+  /// Spawn side (any thread): a user task joined this group.  `worker_slot`
+  /// is the calling thread's worker slot (kNoWorkerSlot without one).
+  /// Internal tasks (wait_on fences) are not counted here, mirroring
+  /// on_complete — so every report obeys spawned == accurate + approximate
+  /// + dropped once the group quiesces.
+  void on_spawn(unsigned worker_slot = kNoWorkerSlot) noexcept {
+    // Relaxed: the barrier that makes a report exact orders it.
+    shard_for(worker_slot).spawned.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Worker side: a user task of this group finished with outcome `kind`.
   /// `requested` is the ratio in effect when the task was classified.
-  /// `worker_slot` routes the task-record append to a per-worker log shard
-  /// (pass the executing worker's index); callers without a worker
-  /// identity (tests, external completions) omit it and share the
+  /// `worker_slot` routes the counter bump and the task-record append to a
+  /// per-worker shard (pass the executing worker's index); callers without
+  /// a worker identity (tests, external completions) omit it and share the
   /// fallback shard — the only shard whose mutex ever sees contention.
   void on_complete(ExecutionKind kind, float significance, double requested,
-                   bool internal, unsigned worker_slot = kNoWorkerSlot) noexcept;
+                   unsigned worker_slot = kNoWorkerSlot) noexcept;
 
   /// Worker side: an accurate task of this group is being re-executed after
   /// a fault or a check() rejection (`corrupted` = the validator rejected a
@@ -125,11 +137,29 @@ class TaskGroup {
     corrupted_detected_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Sentinel worker_slot for callers with no worker identity.
-  static constexpr unsigned kNoWorkerSlot = ~0u;
-
+  /// The barrier count wait_group() waits on.  It counts the group's live
+  /// tasks that no live task of the same group covers: the runtime adds a
+  /// task's unit when the task has no parent or a parent in another group,
+  /// and a completing parent adds the units of its still-live same-group
+  /// children (Runtime::execute_task).  Every add comes before its matching
+  /// subtract, so the count reads zero only once every task of the group
+  /// has completed.
   [[nodiscard]] std::uint64_t pending() const noexcept {
     return pending_.load(std::memory_order_acquire);
+  }
+
+  /// Relaxed: an add is ordered before its matching subtract by the task's
+  /// publication or by the parent's hand-off (see Runtime::execute_task).
+  void add_pending(std::uint64_t n) noexcept {
+    pending_.fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// acq_rel, so a waiter that reads zero sees every covered task's
+  /// effects; the subtract that reaches zero wakes the barrier waiters.
+  void sub_pending(std::uint64_t n) noexcept {
+    if (pending_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+      waiters_.notify_all();
+    }
   }
 
   /// Barrier waiters (wait_group, from any thread) parked on this group;
@@ -149,17 +179,17 @@ class TaskGroup {
   void reset_stats();
 
  private:
+  // Read on every dequeue (the ratio) and every report; kept off the line
+  // of pending_, which the spawns and completions of tasks without a
+  // covering parent write.
   const GroupId id_;
   const std::string name_;
   const bool record_log_;
   std::atomic<double> ratio_;
 
-  std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> spawned_{0};
-  std::atomic<std::uint64_t> accurate_{0};
-  std::atomic<std::uint64_t> approximate_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> redone_{0};
+  alignas(64) std::atomic<std::uint64_t> pending_{0};
+
+  alignas(64) std::atomic<std::uint64_t> redone_{0};
   std::atomic<std::uint64_t> corrupted_detected_{0};
 
   /// totals() at the last reset_stats().
@@ -168,27 +198,31 @@ class TaskGroup {
 
   WaiterList waiters_;
 
-  // Task-record log, sharded by executing worker so the per-completion
-  // append never crosses a contended lock: worker w appends to shard
-  // (w & kLogShardMask) — single writer, so its mutex is uncontended
-  // except against a concurrent report()/reset_stats() merge — and
-  // callers without a worker identity share the extra fallback shard,
-  // the only one whose mutex serializes writers.  report() merges the
-  // shards lazily (it is the cold path).
-  static constexpr unsigned kLogShards = 16;  // power of two
-  static constexpr unsigned kLogShardMask = kLogShards - 1;
-  struct alignas(64) LogShard {
+  // Per-worker shards of the task counters and the task-record log: worker
+  // w bumps and appends to shard (w & kShardMask), and callers without a
+  // worker identity share the extra fallback shard.  The counters are
+  // relaxed atomics (a slot handed off mid-body, or more than kShards
+  // workers, can put two writers on one shard).  The log's mutex is
+  // uncontended except against a concurrent report()/reset_stats() merge
+  // and on the fallback shard.  report() merges the shards lazily (it is
+  // the cold path).
+  static constexpr unsigned kShards = 16;  // power of two
+  static constexpr unsigned kShardMask = kShards - 1;
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> spawned{0};
+    std::atomic<std::uint64_t> accurate{0};
+    std::atomic<std::uint64_t> approximate{0};  ///< ran the approxfun body
+    std::atomic<std::uint64_t> dropped{0};      ///< approximated, no approxfun
     mutable support::Mutex mutex;
     std::vector<TaskRecord> log SIGRT_GUARDED_BY(mutex);
     /// Sum of ratio() at each classification.
     double requested_mass SIGRT_GUARDED_BY(mutex) = 0.0;
   };
-  std::array<LogShard, kLogShards + 1> log_shards_;  // +1: fallback shard
+  std::array<Shard, kShards + 1> shards_;  // +1: fallback shard
 
-  [[nodiscard]] LogShard& shard_for(unsigned worker_slot) noexcept {
-    return worker_slot == kNoWorkerSlot
-               ? log_shards_[kLogShards]
-               : log_shards_[worker_slot & kLogShardMask];
+  [[nodiscard]] Shard& shard_for(unsigned worker_slot) noexcept {
+    return worker_slot == kNoWorkerSlot ? shards_[kShards]
+                                        : shards_[worker_slot & kShardMask];
   }
 };
 

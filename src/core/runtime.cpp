@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 
@@ -175,17 +176,22 @@ void Runtime::set_ratio(GroupId group, double ratio) {
 TaskGroup& Runtime::group(GroupId id) { return group_ref(id); }
 
 TaskGroup& Runtime::group_ref(GroupId id) {
+  TaskGroup* g = find_group(id);
+  if (g == nullptr) throw std::out_of_range("unknown task group");
+  return *g;
+}
+
+TaskGroup* Runtime::find_group(GroupId id) {
   // Lock-free fast path: workers hit this on every LQH dequeue decision.
   // Group objects are heap-stable (unique_ptr) and published with release
   // after construction, so the acquire load is sufficient.
   if (id < kGroupFastTableSize) {
     if (TaskGroup* g = group_table_[id].load(std::memory_order_acquire)) {
-      return *g;
+      return g;
     }
   }
   support::ReaderLock lock(groups_mutex_);
-  if (id >= groups_.size()) throw std::out_of_range("unknown task group");
-  return *groups_[id];
+  return id < groups_.size() ? groups_[id].get() : nullptr;
 }
 
 GroupReport Runtime::group_report(GroupId id) const {
@@ -207,9 +213,18 @@ void Runtime::spawn(TaskOptions options) {
 }
 
 void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
+  // Reject bad input before anything is counted or pinned: a throw after
+  // the parent's children increment would leave its taskwait open for
+  // good.  A NaN significance would pass the clamp below unchanged and
+  // break GTB's sort, LQH's level rounding and the report's selection.
   if (!options.accurate) {
     throw std::invalid_argument("task requires an accurate body");
   }
+  if (std::isnan(options.significance)) {
+    throw std::invalid_argument("task significance is NaN");
+  }
+  TaskGroup* const g = find_group(options.group);
+  if (g == nullptr) throw std::invalid_argument("unknown task group");
 
   // Pooled allocation: a recycled slot from this thread's shard (or its
   // remote-free chain) in the steady state — no heap traffic.
@@ -227,31 +242,36 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   task->significance =
       static_cast<float>(std::clamp(options.significance, 0.0, 1.0));
   task->group = options.group;
-  // Multi-producer id mint: serve dispatchers, user threads and task bodies
-  // all spawn concurrently now, and ids must stay unique — they key the
-  // deterministic fault-injection streams and task-log attribution.  One
-  // relaxed fetch_add; uniqueness needs no ordering.
-  task->id = next_task_id_.fetch_add(1, std::memory_order_relaxed);
+  // The calling thread's worker slot also picks its group counter shard.
+  static_assert(Scheduler::kNoSlot == TaskGroup::kNoWorkerSlot);
+  const unsigned slot = scheduler_->current_slot();
+  task->id = mint_task_id(slot != Scheduler::kNoSlot);
   task->internal = internal;
+  if (!internal) g->on_spawn(slot);
 
   // Nested spawn: record the spawning task (if any) as parent so an
   // in-task taskwait can barrier on exactly its children.  The child pins
   // the parent with one retained reference until its completion performs
   // the counter decrement — the parent may finish its body (and drop the
-  // scheduler's in-flight reference) before the child ever runs.
+  // scheduler's in-flight reference) before the child ever runs.  The live
+  // parent covers the child in the barrier counts (Task::children): the
+  // child adds to none of them, except to its own group's count when that
+  // differs from the parent's.  A task without a parent counts directly.
+  // Relaxed adds: they are ordered before the task's publication by the
+  // scheduler's release edges, and the completion-side decrements are
+  // acq_rel so barrier waiters observe a properly ordered zero crossing.
   if (Task* parent = tls_task_frame.runtime == this ? tls_task_frame.task
                                                     : nullptr) {
     parent->retain();
-    parent->children.fetch_add(1, std::memory_order_relaxed);
+    const bool same_group = parent->group == task->group;
+    parent->children.fetch_add(Task::child_units(same_group),
+                               std::memory_order_relaxed);
     task->parent = parent;
+    if (!same_group) g->add_pending(1);
+  } else {
+    g->add_pending(1);
+    pending_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  TaskGroup& g = group_ref(task->group);
-  g.on_spawn(internal);
-  // Relaxed: the increment is ordered before the task's publication by the
-  // scheduler's release edges; the completion-side decrement stays acq_rel
-  // so barrier waiters observe a properly ordered zero crossing.
-  pending_.fetch_add(1, std::memory_order_relaxed);
 
   task->has_footprint = !options.accesses.empty();
 
@@ -270,8 +290,7 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
     // must not execute on an unreliable core), and only to a bounded
     // inline depth — each inlined body may spawn over a still-full queue.
     if (tls_inline_spawn_depth < kMaxInlineSpawnDepth &&
-        scheduler_->owns_current_slot() &&
-        !scheduler_->current_worker_unreliable() &&
+        slot != Scheduler::kNoSlot && !scheduler_->is_unreliable(slot) &&
         scheduler_->own_queue_depth() > kSpawnInlineWatermark) {
       ++tls_inline_spawn_depth;
       inline_spawns_.fetch_add(1, std::memory_order_relaxed);
@@ -338,6 +357,32 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   if (task->release_one()) {  // hold B
     scheduler_->enqueue(std::move(task));  // donate the spawner's reference
   }
+}
+
+TaskId Runtime::mint_task_id(bool owns_slot) {
+  // Multi-producer id mint: serve dispatchers, user threads and task bodies
+  // all spawn concurrently, and ids must stay unique — they key the
+  // deterministic fault-injection streams and task-log attribution.  A
+  // slot-owning worker takes a block of ids per fetch_add, so nested spawns
+  // stay off the counter's cache line; any other thread takes one id per
+  // spawn, so a lone master mints 1, 2, 3, ... and fault streams replay.
+  // The block lives with the thread, not the slot: a thread that minted
+  // from the shared counter in between (detached for blocking) drops its
+  // block, so each thread's ids increase, which GTB's re-issue sort relies
+  // on.  A pool thread only ever owns slots of one runtime.  Relaxed:
+  // uniqueness needs no ordering.
+  thread_local TaskId block_next = 0;
+  thread_local TaskId block_end = 0;
+  if (owns_slot) {
+    if (block_next == block_end) {
+      block_next =
+          next_task_id_.fetch_add(kTaskIdBlock, std::memory_order_relaxed);
+      block_end = block_next + kTaskIdBlock;
+    }
+    return block_next++;
+  }
+  block_next = block_end;
+  return next_task_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::release_bulk(const std::vector<TaskRef>& tasks) {
@@ -540,18 +585,57 @@ void Runtime::execute_task(Task& task, unsigned worker) {
     release_scratch(scratch);
   }
 
-  g.on_complete(kind, task.significance, requested, task.internal, worker);
+  if (!task.internal) g.on_complete(kind, task.significance, requested, worker);
 
-  // Nested barrier accounting: this completion is what an in-task taskwait
-  // in the parent is waiting for.  acq_rel pairs with the waiter's acquire
-  // load, ordering this task's side effects (and its on_complete above)
-  // before the barrier opens; then drop the child's pin on the parent.
+  // Hand-off: this task covers its still-live children in the barrier
+  // counts, and is about to stop.  Move them to the direct counts first —
+  // add both fields, then set kHandedOff and subtract the children that
+  // completed in between (they saw no kHandedOff, so they subtracted
+  // nothing).  No child can be added meanwhile: the body has returned.
+  // Every add thus comes before its matching subtract, and a count reads
+  // zero only once every task it covers has completed.  The acquire load
+  // also carries the effects of children that completed before it to this
+  // task's own release below.
+  if (const std::uint64_t held = task.children.load(std::memory_order_acquire);
+      held != 0) {
+    const std::uint64_t live = held & Task::kLiveMask;
+    const std::uint64_t same = held >> Task::kSameGroupShift;
+    pending_.fetch_add(live, std::memory_order_relaxed);
+    if (same != 0) g.add_pending(same);
+    // acq_rel: a child whose decrement reads kHandedOff subtracts its
+    // units directly, after (happens-before) the adds above.
+    const std::uint64_t left =
+        task.children.fetch_or(Task::kHandedOff, std::memory_order_acq_rel);
+    if (const std::uint64_t gone = live - (left & Task::kLiveMask); gone != 0) {
+      sub_pending(gone);
+    }
+    if (const std::uint64_t gone = same - (left >> Task::kSameGroupShift);
+        gone != 0) {
+      g.sub_pending(gone);
+    }
+  }
+
+  // Release this task's own units.  A child's decrement on the parent's
+  // word is what an in-task taskwait in the parent is waiting for: acq_rel
+  // pairs with the waiter's acquire load, ordering this task's side
+  // effects (and its on_complete above) before the barrier opens.  Then
+  // drop the child's pin on the parent.  The runtime unit goes last, so a
+  // top-level wait_all that opens sees this task's group count settled.
+  bool counted_directly = true;  // this task's unit is in pending_
   if (Task* parent = task.parent) {
-    if (parent->children.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last child: wake a parked taskwait waiter.  The fence pairs
+    const bool same_group = parent->group == task.group;
+    const std::uint64_t before = parent->children.fetch_sub(
+        Task::child_units(same_group), std::memory_order_acq_rel);
+    // Set: the parent completed first and handed this task's units to the
+    // direct counts; it has no taskwait left to wake.
+    counted_directly = (before & Task::kHandedOff) != 0;
+    if (counted_directly) {
+      if (same_group) g.sub_pending(1);
+    } else if ((before & Task::kLiveMask) == 1) {
+      // Last live child: wake a parked taskwait waiter.  The fence pairs
       // Dekker-style with the waiter's register-then-recheck (see
       // parker.hpp): either this load sees the registered handle, or the
-      // waiter's post-registration recheck sees children == 0.  The notify
+      // waiter's post-registration recheck sees no live child.  The notify
       // must precede parent->release(): the waiter slot lives in the
       // parent, which this release may recycle.
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -559,14 +643,16 @@ void Runtime::execute_task(Task& task, unsigned worker) {
         w->notify();
       }
     }
+    if (!same_group) g.sub_pending(1);
     parent->release();
+  } else {
+    g.sub_pending(1);
   }
-
-  on_task_finished();
+  if (counted_directly) sub_pending(1);
 }
 
-void Runtime::on_task_finished() {
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+void Runtime::sub_pending(std::uint64_t n) {
+  if (pending_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     waiters_.notify_all();
   }
 }
@@ -598,7 +684,8 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
   // Blocked mode: this thread owns no worker slot (a plain thread, or a
   // worker an enclosing barrier or BlockingSection already detached) — it
   // must not execute task bodies on this stack, only park on its Parker.
-  bool blocked_mode = may_park && !scheduler_->owns_current_slot();
+  bool blocked_mode =
+      may_park && scheduler_->current_slot() == Scheduler::kNoSlot;
 
   BarrierWaiter* waiter = nullptr;  // registered lazily, on first park
   int idle = 0;
@@ -633,6 +720,13 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
       } else if (wlist != nullptr) {
         wlist->add(waiter);
       }
+    }
+    // A frame entered while the thread owned its slot switches to blocked
+    // mode once an inner frame handed the slot off: it can neither help
+    // nor park on the slot, and would otherwise spin here until the
+    // barrier opens.
+    if (!blocked_mode && scheduler_->current_slot() == Scheduler::kNoSlot) {
+      blocked_mode = true;
     }
     if (blocked_mode) {
       waiter->slot.store(nullptr, std::memory_order_release);
@@ -677,7 +771,8 @@ void Runtime::wait_all() {
     // task itself — and any sibling waiter — and never open.
     help_until(
         [self] {
-          return self->children.load(std::memory_order_acquire) == 0;
+          return (self->children.load(std::memory_order_acquire) &
+                  Task::kLiveMask) == 0;
         },
         /*wtask=*/self, /*wlist=*/nullptr);
   } else {

@@ -22,8 +22,11 @@
 // the paper lowers to).  Specifics:
 //
 //   * Worker-side spawns push straight into the calling worker's own
-//     Chase-Lev deque (no inbox hop); task ids are minted from one atomic
-//     counter, unique across any number of concurrent spawners.
+//     Chase-Lev deque (no inbox hop).  Task ids come from one atomic
+//     counter, unique across any number of concurrent spawners: a
+//     slot-owning worker takes kTaskIdBlock ids at a time, any other
+//     thread one per spawn (a lone master mints 1, 2, 3, ...).  Each
+//     spawner's ids increase.
 //   * Every taskwait runs through one loop (help_until).  Issued from
 //     inside a task body it never blocks the worker's OS thread: it drains,
 //     steals and executes tasks until the barrier opens, and parks on the
@@ -155,7 +158,9 @@ class Runtime final : public energy::ActivitySource {
   // --- spawning & synchronization -----------------------------------------
 
   /// Spawns a task.  Significance outside [0,1] is clamped.  Throws
-  /// std::invalid_argument when no accurate body is provided.
+  /// std::invalid_argument, before anything is counted, when no accurate
+  /// body is provided, when the significance is NaN, or when the group is
+  /// unknown.
   void spawn(TaskOptions options);
   /// Builder overload: consumes the builder's options in place (single move
   /// per body, no intermediate TaskOptions).
@@ -220,7 +225,14 @@ class Runtime final : public energy::ActivitySource {
 
   /// Diagnostic snapshot of pending counters and scheduler queues; written
   /// to `out`.  Intended for deadlock/stall triage from a watchdog thread.
+  /// The runtime's `pending` counts live tasks without a parent plus live
+  /// children whose parent completed first; a child of a live parent is
+  /// covered by the parent instead (see Task::children).  A group's
+  /// `pending` counts the same way, within the group.
   void dump_state(FILE* out) const;
+
+  /// Ids a slot-owning worker takes from the shared counter at a time.
+  static constexpr TaskId kTaskIdBlock = 256;
 
  private:
   // GTB reads a window's group ratio() and releases the classified window.
@@ -232,10 +244,13 @@ class Runtime final : public energy::ActivitySource {
   /// a flush allocates nothing.
   void release_bulk(const std::vector<TaskRef>& tasks);
   [[nodiscard]] TaskGroup& group_ref(GroupId id);
+  /// group_ref without the throw: nullptr for an unknown id.
+  [[nodiscard]] TaskGroup* find_group(GroupId id);
 
   void execute_task(Task& task, unsigned worker);
   void classify_at_dequeue(Task& task, unsigned worker);
   void spawn_impl(TaskOptions&& options, bool internal);
+  [[nodiscard]] TaskId mint_task_id(bool owns_slot);
   /// The one barrier loop behind every wait_*, from a task body or from
   /// any other thread: runs/steals tasks on the calling thread until
   /// `done()` holds.  A waiter that finds nothing acquirable registers its
@@ -249,7 +264,9 @@ class Runtime final : public energy::ActivitySource {
   /// flushes but never parks.
   template <typename Done>
   void help_until(Done done, Task* wtask, WaiterList* wlist);
-  void on_task_finished();
+  /// Subtracts n units from pending_, waking top-level wait_all waiters
+  /// when it reaches zero.
+  void sub_pending(std::uint64_t n);
   void rethrow_pending_error();
   void publish_group(GroupId id, TaskGroup* group) noexcept;
 
@@ -273,12 +290,10 @@ class Runtime final : public energy::ActivitySource {
   static constexpr std::size_t kGroupFastTableSize = 1024;
   std::unique_ptr<std::atomic<TaskGroup*>[]> group_table_;
 
-  std::atomic<std::uint64_t> pending_{0};
-  /// Top-level wait_all waiters; on_task_finished notifies them when
-  /// pending_ reaches zero.
+  /// Top-level wait_all waiters; sub_pending notifies them when pending_
+  /// reaches zero.
   WaiterList waiters_;
 
-  std::atomic<TaskId> next_task_id_{1};
   std::atomic<std::uint64_t> faults_{0};
   std::atomic<std::uint64_t> inline_spawns_{0};
   support::Mutex error_mutex_;
@@ -287,6 +302,13 @@ class Runtime final : public energy::ActivitySource {
   std::int64_t start_ns_;
   std::unique_ptr<Scheduler> scheduler_;  // after gtb_/lqh_: its hook reads them
   std::unique_ptr<energy::Meter> meter_;
+
+  // The two counters that stay shared, each on its own cache line, apart
+  // from group_table_ and the other members every dequeue reads.
+  /// The top-level wait_all count: live tasks without a parent plus live
+  /// children handed off by a completed parent (see dump_state).
+  alignas(64) std::atomic<std::uint64_t> pending_{0};
+  alignas(64) std::atomic<TaskId> next_task_id_{1};
 };
 
 /// Id of the task currently executing on the calling thread, or 0 when the

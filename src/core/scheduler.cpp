@@ -735,12 +735,8 @@ bool Scheduler::detach_for_blocking() {
   return true;
 }
 
-bool Scheduler::owns_current_slot() const noexcept {
-  return tls_scheduler == this && tls_owns_slot;
-}
-
-bool Scheduler::current_worker_unreliable() const noexcept {
-  return tls_scheduler == this && tls_owns_slot && is_unreliable(tls_worker);
+unsigned Scheduler::current_slot() const noexcept {
+  return tls_scheduler == this && tls_owns_slot ? tls_worker : kNoSlot;
 }
 
 std::size_t Scheduler::own_queue_depth() const noexcept {

@@ -178,14 +178,11 @@ class Scheduler {
   /// budget is exhausted, or the scheduler is stopping.
   bool detach_for_blocking();
 
-  /// True when the calling thread currently owns a worker slot (a
-  /// detached worker is on_worker_thread() but not slot-owning).
-  [[nodiscard]] bool owns_current_slot() const noexcept;
-
-  /// True when the calling thread owns a slot in the unreliable (NTC)
-  /// range — the work-first inline throttle must not run Undecided tasks
-  /// there.
-  [[nodiscard]] bool current_worker_unreliable() const noexcept;
+  /// The index of the worker slot the calling thread owns, or kNoSlot when
+  /// it owns none: any other thread, inline mode, or a detached worker
+  /// (which is on_worker_thread() but not slot-owning).
+  [[nodiscard]] unsigned current_slot() const noexcept;
+  static constexpr unsigned kNoSlot = ~0u;
 
   /// Tasks queued in the calling worker's own deques (0 when the caller
   /// is not a slot-owning worker).  Drives the spawn throttle watermark.
@@ -194,7 +191,7 @@ class Scheduler {
   /// Work-first inline execution: runs `task` (one donated reference,
   /// gate == 0) immediately on the calling slot-owning worker, exactly as
   /// if it had been popped — dequeue hook, busy accounting, release.
-  /// Caller must hold owns_current_slot().
+  /// Caller must own a slot (current_slot() != kNoSlot).
   void run_now(Task* task);
 
   /// Two-phase park on the calling worker's slot Parker for a helping

@@ -75,19 +75,38 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
 
   /// The task whose body spawned this one; nullptr for top-level spawns.
   /// A child pins its parent with one retained reference from spawn until
-  /// its own completion decrements `children`, so the counter stays valid
+  /// its own completion decrements `children`, so the word stays valid
   /// even when the parent's body returns before the child runs.
   Task* parent = nullptr;
 
-  /// Live (spawned but not yet completed) children of this task.  An
-  /// in-task taskwait is a helping barrier on exactly this counter: the
-  /// completion-side fetch_sub is acq_rel and the waiter's load is acquire,
-  /// so every child's side effects are visible when the barrier opens.
-  std::atomic<std::uint32_t> children{0};
+  /// This task's children, in one word with three fields: live (spawned
+  /// but not yet completed) children, the live ones in this task's own
+  /// group, and kHandedOff.  While the task is live it covers its children
+  /// in the barrier counts: a child adds nothing to Runtime::pending_, and
+  /// nothing to its group's pending count when it shares the parent's
+  /// group.  At completion the task hands its still-live children to those
+  /// counts and sets kHandedOff, after which each child subtracts its own
+  /// units (Runtime::execute_task).  An in-task taskwait is a helping
+  /// barrier on the live field: the completion-side fetch_sub is acq_rel
+  /// and the waiter's load is acquire, so every child's side effects are
+  /// visible when the barrier opens.
+  std::atomic<std::uint64_t> children{0};
+  static constexpr std::uint64_t kChild = 1;
+  static constexpr unsigned kSameGroupShift = 31;
+  static constexpr std::uint64_t kSameGroupChild = std::uint64_t{1}
+                                                   << kSameGroupShift;
+  static constexpr std::uint64_t kLiveMask = kSameGroupChild - 1;
+  static constexpr std::uint64_t kHandedOff = std::uint64_t{1} << 63;
+  /// What one child adds to its parent's word at spawn and takes back at
+  /// completion.
+  [[nodiscard]] static constexpr std::uint64_t child_units(
+      bool same_group) noexcept {
+    return same_group ? kChild + kSameGroupChild : kChild;
+  }
 
   /// Event-driven taskwait: the (single) thread blocked in this task's
   /// in-task wait_all() or wait_on() parks behind this handle.  The
-  /// completing side of the last child reads it after a seq_cst fence
+  /// completing side of the last live child reads it after a seq_cst fence
   /// (Dekker pairing with the waiter's register-then-recheck) and calls
   /// notify(); a wait_on fence notifies the waiter's handle directly.  Handles
   /// are pooled immortally (core/parker.hpp), so a stale notify racing a

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "core/sigrt.hpp"
 #include "core/topology.hpp"
 
@@ -132,6 +134,50 @@ TEST(ElasticPool, DeepChainKeepsPerThreadNestingUnderHelpingDepthCap) {
             static_cast<int>(Runtime::kHelpingDepth) * 2 + 8);
   // The bound is only meaningful if the detach path actually engaged.
   EXPECT_GE(rt.pool_stats().handoffs, 1u);
+}
+
+// A worker that handed its slot off past kHelpingDepth keeps its outer
+// helping frames on the stack.  Once the inner frames unwind, each outer
+// frame waits for a child the slot's new owner has yet to run; it must park
+// for it, not spin.  A comb — every node spawns a sleeping leaf, then the
+// next node — makes those waits long: while the leaves sleep, nothing
+// should burn CPU, so the process's CPU time stays a small share of the
+// wall time.  Spinning outer frames burn a core for the whole unwind.
+TEST(ElasticPool, DetachedWorkerParksInItsOuterHelpingFrames) {
+  constexpr int kDepth = static_cast<int>(Runtime::kHelpingDepth) + 8;
+  Runtime rt(pool_config(1));
+  std::atomic<int> slept{0};
+  struct Comb {
+    static void node(Runtime& rt, int depth, std::atomic<int>& slept) {
+      rt.spawn(sigrt::task([&slept] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        slept.fetch_add(1);
+      }));
+      if (depth > 1) {
+        rt.spawn(sigrt::task(
+            [&rt, depth, &slept] { node(rt, depth - 1, slept); }));
+      }
+      rt.wait_all();  // in-task: the leaf and the next node
+    }
+  };
+  const auto cpu_s = [] {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+           static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec) * 1e-6;
+  };
+  const double cpu0 = cpu_s();
+  const auto t0 = std::chrono::steady_clock::now();
+  rt.spawn(sigrt::task([&] { Comb::node(rt, kDepth, slept); }));
+  rt.wait_all();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const double cpu = cpu_s() - cpu0;
+  EXPECT_EQ(slept.load(), kDepth);
+  EXPECT_GE(rt.pool_stats().handoffs, 1u) << "the comb never detached";
+  EXPECT_LT(cpu, 0.3 * wall) << "cpu " << cpu << " s over " << wall
+                             << " s of mostly sleeping leaves";
 }
 
 TEST(ElasticPool, PoolStaysBalancedAfterBlockingStormsWithFailures) {

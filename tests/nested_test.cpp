@@ -8,8 +8,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parker.hpp"
@@ -494,5 +498,170 @@ TEST(Nested, CurrentTaskIdVisibleInsideBody) {
   EXPECT_NE(seen.load(), 0u);
   EXPECT_EQ(sigrt::current_task_id(), 0u);
 }
+
+// Waits up to `bound` for `flag`.  A barrier that never opens would hang
+// the suite, and a stuck helping loop cannot be rescued by a notify, so on
+// timeout this reports and ends the process: the test fails, not hangs.
+void require_within(const std::atomic<bool>& flag, std::chrono::seconds bound,
+                    const char* what) {
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "FAILED: %s still open after %lld s\n", what,
+                   static_cast<long long>(bound.count()));
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// spawn() validates before it touches shared state: an in-task spawn into
+// an unknown group throws std::invalid_argument inside the body, and the
+// parent's taskwait still opens — no child was counted for the rejected
+// spawn, so none can hold the barrier.
+TEST(Nested, InTaskSpawnIntoUnknownGroupThrowsAndTaskwaitReturns) {
+  Runtime rt(workers_config(2, PolicyKind::LQH));
+  std::atomic<bool> threw{false};
+  std::atomic<bool> waited{false};
+  std::atomic<int> child_ran{0};
+  rt.spawn(sigrt::task([&] {
+    rt.spawn(sigrt::task([&child_ran] { child_ran.fetch_add(1); }));
+    try {
+      rt.spawn(sigrt::task([] {}).group(999));
+    } catch (const std::invalid_argument&) {
+      threw.store(true);
+    }
+    rt.wait_all();  // in-task: barriers on the one valid child
+    waited.store(true);
+  }));
+  require_within(waited, std::chrono::seconds(10), "in-task wait_all");
+  rt.wait_all();
+  EXPECT_TRUE(threw.load());
+  EXPECT_EQ(child_ran.load(), 1);
+  EXPECT_EQ(rt.stats().spawned, 2u);
+}
+
+// Barrier exactness with unwaited children.  A live parent covers its
+// children in the barrier counts and hands the still-live ones to the
+// direct counts when it completes; this drives that hand-off every round.
+// Parents in group A spawn, without waiting: A children that each spawn an
+// A grandchild, and B children.  One B child spins until the plain
+// thread's wait_group(A) has returned (bounded at 2 s).  wait_group(A)
+// must see every A task and return while the spinner still waits — a
+// parent covering its B children under its own group unit would hold A
+// open on the spinner — and the wait_all after it must see every B task.
+struct ExactnessCase {
+  unsigned workers;
+  PolicyKind policy;
+};
+
+class NestedExactness : public ::testing::TestWithParam<ExactnessCase> {};
+
+TEST_P(NestedExactness, UnwaitedChildrenKeepBarriersExact) {
+  constexpr int kRounds = 200;
+  constexpr int kParents = 3;
+  constexpr int kAChildren = 2;  // each spawns one A grandchild
+  constexpr int kBChildren = 2;  // parent 0's first one is the spinner
+  constexpr int kATasks = kParents * (1 + 2 * kAChildren);
+  constexpr int kBTasks = kParents * kBChildren;
+  Runtime rt(workers_config(GetParam().workers, GetParam().policy));
+  const auto a = rt.create_group("a", 0.5);
+  const auto b = rt.create_group("b", 0.5);
+
+  for (int round = 0; round < kRounds && !HasFailure(); ++round) {
+    std::atomic<int> a_done{0};
+    std::atomic<int> b_done{0};
+    std::atomic<bool> a_returned{false};
+    std::atomic<bool> spinner_done{false};
+    std::atomic<bool> spinner_timed_out{false};
+    // Same body accurate or approximate: every task runs one, whatever the
+    // policy decides, and the counts stay exact.
+    const auto count = [](std::atomic<int>& n) {
+      return [&n] { n.fetch_add(1); };
+    };
+    for (int p = 0; p < kParents; ++p) {
+      const auto parent = [&, p] {
+        for (int c = 0; c < kAChildren; ++c) {
+          const auto child = [&] {
+            rt.spawn(sigrt::task(count(a_done))
+                         .approx(count(a_done))
+                         .significance(0.3)
+                         .group(a));
+            a_done.fetch_add(1);
+          };
+          rt.spawn(sigrt::task(child).approx(child).significance(0.6).group(a));
+        }
+        for (int c = 0; c < kBChildren; ++c) {
+          if (p == 0 && c == 0) {
+            const auto spinner = [&] {
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(2);
+              while (!a_returned.load()) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                  spinner_timed_out.store(true);
+                  break;
+                }
+                std::this_thread::yield();
+              }
+              b_done.fetch_add(1);
+              spinner_done.store(true);
+            };
+            rt.spawn(
+                sigrt::task(spinner).approx(spinner).significance(0.5).group(b));
+          } else {
+            rt.spawn(sigrt::task(count(b_done))
+                         .approx(count(b_done))
+                         .significance(0.4)
+                         .group(b));
+          }
+        }
+        a_done.fetch_add(1);
+      };
+      rt.spawn(sigrt::task(parent).approx(parent).significance(0.9).group(a));
+    }
+
+    rt.wait_group(a);
+    const bool spinner_finished_first = spinner_done.load();
+    const int a_seen = a_done.load();
+    a_returned.store(true);
+    rt.wait_all();
+    const int b_seen = b_done.load();
+    // The runtime count is released last: once wait_all opens, no group
+    // count still holds a completed task.
+    const std::uint64_t a_left = rt.group(a).pending();
+    const std::uint64_t b_left = rt.group(b).pending();
+
+    EXPECT_EQ(a_seen, kATasks) << "wait_group(a) opened early, round " << round;
+    EXPECT_FALSE(spinner_finished_first)
+        << "wait_group(a) waited for a task of group b, round " << round;
+    EXPECT_FALSE(spinner_timed_out.load())
+        << "wait_group(a) returned only after the spinner gave up, round "
+        << round;
+    EXPECT_EQ(b_seen, kBTasks) << "wait_all opened early, round " << round;
+    EXPECT_EQ(a_left + b_left, 0u)
+        << "wait_all opened before a group count settled, round " << round;
+  }
+  if (HasFailure()) return;
+  for (const auto& [g, tasks] :
+       {std::pair{a, kATasks}, std::pair{b, kBTasks}}) {
+    const auto r = rt.group_report(g);
+    EXPECT_EQ(r.spawned, static_cast<std::uint64_t>(tasks) * kRounds);
+    EXPECT_EQ(r.spawned, r.accurate + r.approximate + r.dropped);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersAndPolicies, NestedExactness,
+    ::testing::Values(ExactnessCase{2, PolicyKind::LQH},
+                      ExactnessCase{3, PolicyKind::LQH},
+                      ExactnessCase{8, PolicyKind::LQH},
+                      ExactnessCase{2, PolicyKind::GTB},
+                      ExactnessCase{3, PolicyKind::GTB},
+                      ExactnessCase{8, PolicyKind::GTB}),
+    [](const ::testing::TestParamInfo<ExactnessCase>& info) {
+      return std::string(sigrt::to_string(info.param.policy)) + "_" +
+             std::to_string(info.param.workers) + "w";
+    });
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -55,6 +57,34 @@ TEST(Runtime, SpawnWithoutBodyThrows) {
   Runtime rt(inline_config());
   sigrt::TaskOptions opts;
   EXPECT_THROW(rt.spawn(std::move(opts)), std::invalid_argument);
+}
+
+// A NaN significance passes std::clamp unchanged and would reach GTB's sort
+// comparator, LQH's level rounding and the report's selection; spawn()
+// rejects it up front, at top level and in-task, and counts nothing.
+TEST(Runtime, NanSignificanceThrowsAndCountsNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const PolicyKind policy : {PolicyKind::GTB, PolicyKind::LQH}) {
+    Runtime rt(threaded_config(2, policy));
+    EXPECT_THROW(rt.spawn(sigrt::task([] {}).significance(nan)),
+                 std::invalid_argument);
+    std::atomic<bool> threw_in_task{false};
+    rt.spawn(sigrt::task([&] {
+               try {
+                 rt.spawn(sigrt::task([] {}).significance(nan));
+               } catch (const std::invalid_argument&) {
+                 threw_in_task.store(true);
+               }
+               rt.wait_all();
+             })
+                 .significance(1.0));
+    rt.wait_all();
+    EXPECT_TRUE(threw_in_task.load()) << sigrt::to_string(policy);
+    const auto s = rt.stats();
+    EXPECT_EQ(s.spawned, 1u) << sigrt::to_string(policy);
+    EXPECT_EQ(s.accurate, 1u) << sigrt::to_string(policy);
+    EXPECT_EQ(s.approximate + s.dropped, 0u) << sigrt::to_string(policy);
+  }
 }
 
 TEST(Runtime, DependenciesOrderProducerBeforeConsumer) {
@@ -368,36 +398,78 @@ TEST(Runtime, DiamondDependencyPattern) {
 // dispatchers, user threads, task bodies) must never mint duplicate
 // TaskIds — ids key the deterministic stream_rng fault stream and task-log
 // attribution.  The single-writer load+store this replaces loses ids under
-// exactly this interleaving.
+// exactly this interleaving.  Task bodies spawn too: a slot-owning worker
+// takes Runtime::kTaskIdBlock ids at a time, and the fan-out tasks below
+// use more than two blocks per worker slot; each spawner's ids increase.
 TEST(Runtime, ConcurrentSpawnersMintUniqueTaskIds) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
+  constexpr int kFans = 4;
+  constexpr int kPerFan = 3 * static_cast<int>(Runtime::kTaskIdBlock);
   Runtime rt(threaded_config(2));
   std::mutex mu;
   std::vector<sigrt::TaskId> ids;
-  ids.reserve(kThreads * kPerThread);
+  ids.reserve(kThreads * kPerThread + kFans * (kPerFan + 1));
+  std::vector<std::vector<sigrt::TaskId>> fan_ids(
+      kFans, std::vector<sigrt::TaskId>(kPerFan, 0));
+  const auto record = [&] {
+    const sigrt::TaskId id = sigrt::current_task_id();
+    std::lock_guard lock(mu);
+    ids.push_back(id);
+  };
 
   std::vector<std::thread> spawners;
   spawners.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    spawners.emplace_back([&] {
+    spawners.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        rt.spawn(sigrt::task([&] {
-          const sigrt::TaskId id = sigrt::current_task_id();
-          std::lock_guard lock(mu);
-          ids.push_back(id);
-        }));
+        if (t == 0 && i % (kPerThread / kFans) == 0) {
+          const int fan = i / (kPerThread / kFans);
+          rt.spawn(sigrt::task([&, fan] {
+            record();
+            for (int k = 0; k < kPerFan; ++k) {
+              rt.spawn(sigrt::task([&, fan, k] {
+                fan_ids[fan][k] = sigrt::current_task_id();
+                record();
+              }));
+            }
+          }));
+        }
+        rt.spawn(sigrt::task(record));
       }
     });
   }
   for (auto& t : spawners) t.join();
   rt.wait_all();
 
-  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+  ASSERT_EQ(ids.size(),
+            static_cast<std::size_t>(kThreads) * kPerThread +
+                static_cast<std::size_t>(kFans) * (kPerFan + 1));
   std::sort(ids.begin(), ids.end());
   EXPECT_NE(ids.front(), 0u);
   EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
       << "duplicate task id minted by concurrent spawners";
+  for (int fan = 0; fan < kFans; ++fan) {
+    EXPECT_TRUE(std::is_sorted(fan_ids[fan].begin(), fan_ids[fan].end(),
+                               std::less_equal<>()))
+        << "in-task ids of fan " << fan << " do not increase";
+  }
+}
+
+// A lone spawner outside any task body takes one id per spawn, so its ids
+// run 1, 2, 3, ... and seeded fault streams keyed on them replay.
+TEST(Runtime, LoneMasterMintsConsecutiveTaskIds) {
+  Runtime rt(threaded_config(2, PolicyKind::LQH));
+  constexpr int kTasks = 300;
+  std::vector<sigrt::TaskId> ids(kTasks, 0);
+  for (int i = 0; i < kTasks; ++i) {
+    rt.spawn(sigrt::task([&ids, i] { ids[i] = sigrt::current_task_id(); })
+                 .significance(1.0));
+  }
+  rt.wait_all();
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(ids[i], static_cast<sigrt::TaskId>(i + 1)) << "task " << i;
+  }
 }
 
 // Accounting invariant: after a barrier, every group report must satisfy

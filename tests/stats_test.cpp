@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sigrt.hpp"
@@ -146,6 +148,57 @@ TEST(Stats, RuntimeCountersOnlyGoUpAcrossGroupResets) {
   EXPECT_EQ(rt.stats().spawned - spawned0, 300u);
   EXPECT_EQ(rt.stats().accurate - accurate0, 300u);
   EXPECT_EQ(rt.group(g).totals().spawned, 300u);
+}
+
+// The task counters live in per-worker shards and are summed on read: after
+// the barrier they must be exact however the spawns and completions spread
+// over the shards.  Three workers plus two user threads run nested
+// fan-outs into two groups — some children waited in-task, some not, some
+// without an approxfun (dropped when approximated).
+TEST(Stats, ShardedCountersAreExactAfterTheBarrier) {
+  RuntimeConfig c;
+  c.workers = 3;
+  c.policy = PolicyKind::LQH;
+  Runtime rt(c);
+  const auto x = rt.create_group("x", 0.5);
+  const auto y = rt.create_group("y", 0.3);
+  constexpr int kThreads = 2;
+  constexpr int kRoots = 40;     // per thread, alternating x and y
+  constexpr int kChildren = 12;  // per root: even ones in x, odd ones in y
+  const std::uint64_t spawned0 = rt.stats().spawned;
+
+  std::vector<std::thread> users;
+  for (int t = 0; t < kThreads; ++t) {
+    users.emplace_back([&rt, x, y] {
+      for (int r = 0; r < kRoots; ++r) {
+        rt.spawn(sigrt::task([&rt, x, y, r] {
+                   for (int k = 0; k < kChildren; ++k) {
+                     auto child = sigrt::task([] {})
+                                      .significance((k % 10) / 10.0)
+                                      .group(k % 2 == 0 ? x : y);
+                     if (k % 3 != 0) child.approx([] {});
+                     rt.spawn(std::move(child));
+                     if (r % 2 == 0 && k == kChildren / 2) rt.wait_all();
+                   }
+                 })
+                     .significance(1.0)  // always runs the fan-out body
+                     .group(r % 2 == 0 ? x : y));
+      }
+    });
+  }
+  for (auto& u : users) u.join();
+  rt.wait_all();
+
+  // Each group gets half the roots and half of every root's children.
+  constexpr std::uint64_t kPerGroup =
+      kThreads * (kRoots / 2 + kRoots * kChildren / 2);
+  for (const auto g : {x, y}) {
+    const sigrt::GroupReport r = rt.group_report(g);
+    EXPECT_EQ(r.spawned, kPerGroup) << r.name;
+    EXPECT_EQ(r.accurate + r.approximate + r.dropped, kPerGroup) << r.name;
+    EXPECT_EQ(rt.group(g).pending(), 0u) << r.name;
+  }
+  EXPECT_EQ(rt.stats().spawned - spawned0, 2 * kPerGroup);
 }
 
 TEST(Dump, StateSnapshotIsWellFormed) {
