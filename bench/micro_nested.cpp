@@ -13,7 +13,10 @@
 // allocations through an instrumented global operator new and warms up
 // until a full round allocates nothing, so the steady-state
 // allocs-per-task column extends the zero-allocation contract to the
-// nested spawn + helping-barrier path.  Output is one JSON line
+// nested spawn + helping-barrier path.  A round takes ~16 ms, so each
+// cell times kTimedRounds of them: `tasks_per_sec` and `wall_s` are the
+// median round's, while `tasks`, `accurate`, `approximate` and `allocs`
+// sum over the timed rounds.  Output is one JSON line
 // (BENCH_micro_nested.json in CI); CLI arguments are accepted and ignored
 // for harness compatibility.
 #include <algorithm>
@@ -39,6 +42,8 @@ namespace {
 constexpr int kFibN = 40;
 constexpr int kCutoff = 20;
 constexpr double kSigDecay = 0.97;
+/// Timed rounds per fib cell (odd: the median is a real round).
+constexpr unsigned kTimedRounds = 7;
 
 std::uint64_t fib_iterative(int n) {
   std::uint64_t a = 0, b = 1;
@@ -85,16 +90,14 @@ struct NestedRecord {
   const char* policy = "";
   double ratio = 1.0;
   unsigned workers = 0;
+  unsigned rounds = 0;
   std::uint64_t tasks = 0;
   std::uint64_t accurate = 0;
   std::uint64_t approximate = 0;
   std::uint64_t allocs = 0;
   double allocs_per_task = 0.0;
-  double wall_s = 0.0;
-  double tasks_per_sec = 0.0;
-  /// Per-worker {near, far} steal deltas over the measured round
-  /// (topology-aware victim order: near = same LLC or closer).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> steal_locality;
+  double wall_s = 0.0;         ///< the median round's
+  double tasks_per_sec = 0.0;  ///< the median round's
 };
 
 NestedRecord measure(sigrt::PolicyKind policy, double ratio, unsigned workers,
@@ -115,37 +118,44 @@ NestedRecord measure(sigrt::PolicyKind policy, double ratio, unsigned workers,
     if (r > 0 && alloc_counter::count() == before) break;
   }
 
-  const auto r0 = rt.group_report(sigrt::kDefaultGroup);
-  const auto steals0 = rt.steal_locality();
-  const std::uint64_t a0 = alloc_counter::count();
-  const std::int64_t t0 = sigrt::support::now_ns();
-  const std::uint64_t tasks = nested_round(rt);
-  const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = alloc_counter::count();
-  const auto r1 = rt.group_report(sigrt::kDefaultGroup);
-  const auto steals1 = rt.steal_locality();
-
   NestedRecord rec;
   rec.policy = sigrt::to_string(policy);
   rec.ratio = ratio;
   rec.workers = workers;
-  rec.tasks = tasks;
+  rec.rounds = kTimedRounds;
+  // (wall ns, tasks) per timed round; the scratch is reserved before the
+  // first round so the alloc count sees only the runtime.
+  std::vector<std::pair<std::int64_t, std::uint64_t>> timed;
+  timed.reserve(kTimedRounds);
+  const auto r0 = rt.group_report(sigrt::kDefaultGroup);
+  const std::uint64_t a0 = alloc_counter::count();
+  for (unsigned r = 0; r < kTimedRounds; ++r) {
+    const std::int64_t t0 = sigrt::support::now_ns();
+    const std::uint64_t tasks = nested_round(rt);
+    timed.emplace_back(sigrt::support::now_ns() - t0, tasks);
+  }
+  rec.allocs = alloc_counter::count() - a0;
+  const auto r1 = rt.group_report(sigrt::kDefaultGroup);
   rec.accurate = r1.accurate - r0.accurate;
   rec.approximate = r1.approximate - r0.approximate;
-  rec.allocs = a1 - a0;
+  for (const auto& [ns, tasks] : timed) rec.tasks += tasks;
   rec.allocs_per_task =
-      tasks == 0 ? 0.0
-                 : static_cast<double>(rec.allocs) / static_cast<double>(tasks);
-  rec.wall_s = static_cast<double>(t1 - t0) * 1e-9;
-  if (rec.wall_s > 0) {
-    rec.tasks_per_sec = static_cast<double>(tasks) / rec.wall_s;
-  }
-  rec.steal_locality.resize(steals1.size());
-  for (std::size_t i = 0; i < steals1.size(); ++i) {
-    const std::uint64_t n0 = i < steals0.size() ? steals0[i].first : 0;
-    const std::uint64_t f0 = i < steals0.size() ? steals0[i].second : 0;
-    rec.steal_locality[i] = {steals1[i].first - n0, steals1[i].second - f0};
-  }
+      rec.tasks == 0 ? 0.0
+                     : static_cast<double>(rec.allocs) /
+                           static_cast<double>(rec.tasks);
+
+  // Median round by rate; its wall time goes with it.
+  const auto rate = [](const std::pair<std::int64_t, std::uint64_t>& t) {
+    return t.first > 0 ? static_cast<double>(t.second) * 1e9 /
+                             static_cast<double>(t.first)
+                       : 0.0;
+  };
+  std::sort(timed.begin(), timed.end(), [&](const auto& a, const auto& b) {
+    return rate(a) < rate(b);
+  });
+  const auto& median = timed[timed.size() / 2];
+  rec.wall_s = static_cast<double>(median.first) * 1e-9;
+  rec.tasks_per_sec = rate(median);
   return rec;
 }
 
@@ -394,19 +404,13 @@ int main(int, char**) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     const NestedRecord& r = records[i];
     std::printf(
-        "%s{\"policy\":\"%s\",\"ratio\":%.2f,\"workers\":%u,\"tasks\":%" PRIu64
-        ",\"accurate\":%" PRIu64 ",\"approximate\":%" PRIu64
-        ",\"allocs\":%" PRIu64
-        ",\"allocs_per_task\":%.6f,\"wall_s\":%.6f,\"tasks_per_sec\":%.1f",
-        i == 0 ? "" : ",", r.policy, r.ratio, r.workers, r.tasks, r.accurate,
-        r.approximate, r.allocs, r.allocs_per_task, r.wall_s, r.tasks_per_sec);
-    std::printf(",\"steal_locality\":[");
-    for (std::size_t s = 0; s < r.steal_locality.size(); ++s) {
-      std::printf("%s{\"near\":%" PRIu64 ",\"far\":%" PRIu64 "}",
-                  s == 0 ? "" : ",", r.steal_locality[s].first,
-                  r.steal_locality[s].second);
-    }
-    std::printf("]}");
+        "%s{\"policy\":\"%s\",\"ratio\":%.2f,\"workers\":%u,\"rounds\":%u"
+        ",\"tasks\":%" PRIu64 ",\"accurate\":%" PRIu64
+        ",\"approximate\":%" PRIu64 ",\"allocs\":%" PRIu64
+        ",\"allocs_per_task\":%.6f,\"wall_s\":%.6f,\"tasks_per_sec\":%.1f}",
+        i == 0 ? "" : ",", r.policy, r.ratio, r.workers, r.rounds, r.tasks,
+        r.accurate, r.approximate, r.allocs, r.allocs_per_task, r.wall_s,
+        r.tasks_per_sec);
   }
   std::printf("],\"deep_chain\":{\"depth\":%d,\"rounds\":%u,\"wall_s\":%.6f,"
               "\"handoffs\":%" PRIu64 ",\"spares_spawned\":%" PRIu64

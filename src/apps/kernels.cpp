@@ -1,8 +1,8 @@
 #include "apps/kernels.hpp"
 
-#include <algorithm>
+#include <unistd.h>
 
-#include "core/topology.hpp"
+#include <algorithm>
 
 namespace sigrt::apps::kern {
 
@@ -42,8 +42,11 @@ const KernelTable& table_for(support::simd::Isa isa) noexcept {
 
 std::size_t sobel_tile_cols(std::size_t w, std::size_t band_rows) noexcept {
   if (w <= 2) return w;
-  std::size_t l2 = topo::system_topology().l2_bytes;
-  if (l2 == 0) l2 = 256 * 1024;
+  // Per-CPU L2 size, read once; 256 KiB when the C library cannot tell.
+  static const std::size_t l2 = [] {
+    const long bytes = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
+    return bytes > 0 ? static_cast<std::size_t>(bytes) : 256 * 1024;
+  }();
   // One strip touches (band_rows + 2) input rows and band_rows output rows,
   // each tile_cols bytes wide; budget half the L2 so the rest of the task's
   // working set does not evict the halo.

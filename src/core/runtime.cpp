@@ -682,8 +682,8 @@ void Runtime::help_until(Done done, Task* wtask, WaiterList* wlist) {
   // helping and flushing are the only ways forward, so it never parks.
   const bool may_park = !scheduler_->inline_mode();
   // Blocked mode: this thread owns no worker slot (a plain thread, or a
-  // worker an enclosing barrier or BlockingSection already detached) — it
-  // must not execute task bodies on this stack, only park on its Parker.
+  // worker an enclosing barrier already detached) — it must not execute
+  // task bodies on this stack, only park on its Parker.
   bool blocked_mode =
       may_park && scheduler_->current_slot() == Scheduler::kNoSlot;
 
@@ -844,22 +844,7 @@ void Runtime::wait_on(const void* ptr, std::size_t bytes) {
   rethrow_pending_error();
 }
 
-bool Runtime::begin_blocking() {
-  // Only meaningful from inside a task body of this runtime: the handoff
-  // trades the worker slot for a spare thread so the pool keeps its width
-  // while this body blocks on something external.
-  if (tls_task_frame.runtime != this || tls_task_frame.task == nullptr) {
-    return false;
-  }
-  return scheduler_->detach_for_blocking();
-}
-
 PoolStats Runtime::pool_stats() const { return scheduler_->pool_stats(); }
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> Runtime::steal_locality()
-    const {
-  return scheduler_->steal_locality();
-}
 
 void Runtime::rethrow_pending_error() {
   std::exception_ptr err;

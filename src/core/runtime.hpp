@@ -186,24 +186,8 @@ class Runtime final : public energy::ActivitySource {
   /// given byte range.  In-task callers help instead of blocking.
   void wait_on(const void* ptr, std::size_t bytes);
 
-  /// Declares that the calling thread is about to block outside the
-  /// runtime (a socket read, an external condvar).  From inside a task
-  /// body on a slot-owning worker this hands the worker slot to a spare
-  /// thread so the pool keeps its parallelism while the body blocks;
-  /// returns true when a handoff happened.  One-way per episode: the
-  /// thread re-pools when the task body unwinds, not when this returns.
-  /// No-op (false) outside a task body of this runtime, in inline mode,
-  /// on a thread that already handed its slot off, and while the spare
-  /// budget is exhausted (Scheduler::detach_for_blocking).
-  bool begin_blocking();
-
-  /// Elastic-pool counters (handoffs, spares, steal locality).
+  /// Elastic-pool counters (handoffs, spares, live and parked threads).
   [[nodiscard]] PoolStats pool_stats() const;
-
-  /// Per-worker {near, far} steal counters, indexed by worker slot
-  /// (reporting path — allocates the result vector).
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  steal_locality() const;
 
   // --- introspection -------------------------------------------------------
 
@@ -257,11 +241,12 @@ class Runtime final : public energy::ActivitySource {
   /// BarrierWaiter on `wtask` (children scope) or else on `wlist`
   /// (quiescence scope; wait_on passes neither — its fence notifies the
   /// handle directly) and parks: on its worker slot's Parker while it owns
-  /// one, on its own Parker otherwise.  A thread without a slot — a plain thread,
-  /// or a worker past kHelpingDepth or inside begin_blocking() — never
-  /// helps, only re-flushes and parks.  Under GTB parks are timed so the
-  /// buffered windows are re-flushed.  Inline mode helps and
-  /// flushes but never parks.
+  /// one, on its own Parker otherwise.  A waiter nested past kHelpingDepth
+  /// hands its slot to a spare (Scheduler::detach_for_blocking), the one
+  /// trigger of a slot handoff.  A thread without a slot — a plain thread,
+  /// or a worker that handed its slot off — never helps, only re-flushes
+  /// and parks.  Under GTB parks are timed so the buffered windows are
+  /// re-flushed.  Inline mode helps and flushes but never parks.
   template <typename Done>
   void help_until(Done done, Task* wtask, WaiterList* wlist);
   /// Subtracts n units from pending_, waking top-level wait_all waiters
@@ -315,29 +300,5 @@ class Runtime final : public energy::ActivitySource {
 /// caller is not inside a task body.  Thread-local, nesting-aware (helping
 /// re-entrancy restores the outer task's id when the inner one finishes).
 [[nodiscard]] TaskId current_task_id() noexcept;
-
-/// RAII wrapper over Runtime::begin_blocking() for task bodies that block
-/// on external events (sockets, pipes, foreign condvars):
-///
-///   rt.spawn(sigrt::task([&] {
-///     sigrt::BlockingSection bs(rt);   // slot handed to a spare
-///     ::recv(fd, ...);                 // pool stays at full parallelism
-///   }));
-///
-/// The destructor is deliberately a no-op: the handoff is one-way per task
-/// episode (the thread re-pools when the body unwinds), so the object only
-/// documents the blocking span and reports whether a handoff happened.
-class BlockingSection {
- public:
-  explicit BlockingSection(Runtime& rt) : detached_(rt.begin_blocking()) {}
-  BlockingSection(const BlockingSection&) = delete;
-  BlockingSection& operator=(const BlockingSection&) = delete;
-
-  /// True when the worker slot was actually handed to a spare thread.
-  [[nodiscard]] bool detached() const noexcept { return detached_; }
-
- private:
-  bool detached_;
-};
 
 }  // namespace sigrt

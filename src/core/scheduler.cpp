@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "core/topology.hpp"
 #include "support/timer.hpp"
 
 namespace sigrt {
@@ -51,17 +50,12 @@ Scheduler::Scheduler(unsigned workers, unsigned unreliable, bool steal,
   } else {
     reliable_count_ = 1;  // the inline pseudo-worker (index 0) is reliable
   }
-  const topo::Topology& topology = topo::system_topology();
   slots_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
     auto slot = std::make_unique<WorkerSlot>();
     // Deterministic per-worker stream; only used for steal-victim
     // randomization, so it does not affect steal-off reproducibility.
     slot->rng = support::Xoshiro256(0x51eea1u + i * 0x9e3779b97f4a7c15ULL);
-    // Nearest-first victim order: steals prefer cache-sharing workers, so
-    // a stolen task's inputs travel through the LLC instead of memory.
-    slot->steal_order = topology.steal_order(i, workers);
-    slot->near_count = topology.near_victims(i, workers);
     slots_.push_back(std::move(slot));
   }
   {
@@ -88,14 +82,12 @@ Scheduler::~Scheduler() {
     support::MutexLock lk(pool_mutex_);
     pool_cv_.notify_all();
   }
-  std::vector<std::unique_ptr<PoolThread>> threads;
+  std::vector<std::thread> threads;
   {
     support::MutexLock lk(pool_mutex_);
     threads.swap(pool_threads_);
   }
-  for (auto& pt : threads) {
-    if (pt->th.joinable()) pt->th.join();
-  }
+  for (std::thread& th : threads) th.join();
 
   // A quiesced shutdown leaves every deque and inbox empty.  Debug builds
   // treat leftovers as fatal; release builds drop the donated references so
@@ -490,35 +482,17 @@ Task* Scheduler::try_steal(unsigned thief) {
     return raid(kAnyWorker);
   };
 
-  // Nearest-first, convoy-free: victims are probed by ascending topology
-  // distance (precomputed per worker), with a random start WITHIN each of
-  // the near/far segments — same-cache thieves share a victim set, and
-  // without the rotation they would all probe it in the same order.  The
-  // sweep stays exhaustive (required for the parking protocol).
-  const std::vector<unsigned>& order = me.steal_order;
-  const std::size_t near = me.near_count;
-  if (near > 0) {
-    const std::size_t start = static_cast<std::size_t>(me.rng.bounded(near));
-    for (std::size_t k = 0; k < near; ++k) {
-      std::size_t idx = start + k;
-      if (idx >= near) idx -= near;
-      if (Task* t = probe(order[idx])) {
-        me.near_steals.fetch_add(1, std::memory_order_relaxed);
-        return t;
-      }
-    }
-  }
-  const std::size_t far = order.size() - near;
-  if (far > 0) {
-    const std::size_t start = static_cast<std::size_t>(me.rng.bounded(far));
-    for (std::size_t k = 0; k < far; ++k) {
-      std::size_t idx = start + k;
-      if (idx >= far) idx -= far;
-      if (Task* t = probe(order[near + idx])) {
-        me.far_steals.fetch_add(1, std::memory_order_relaxed);
-        return t;
-      }
-    }
+  // Convoy-free: every other worker once, in ring order from the thief,
+  // starting at a random offset — without the rotation every thief would
+  // probe the same victim first.  The sweep stays exhaustive (required for
+  // the parking protocol).
+  const unsigned others = n - 1;
+  unsigned k = static_cast<unsigned>(me.rng.bounded(others));
+  for (unsigned i = 0; i < others; ++i, ++k) {
+    if (k == others) k = 0;
+    unsigned v = thief + 1 + k;
+    if (v >= n) v -= n;
+    if (Task* t = probe(v)) return t;
   }
   return nullptr;
 }
@@ -644,72 +618,34 @@ void Scheduler::worker_loop(unsigned index) {
   }
 }
 
-void Scheduler::thread_main(PoolThread* self, int slot) {
+void Scheduler::thread_main(int slot) {
   tls_scheduler = this;
   for (;;) {
     if (slot >= 0) {
       worker_loop(static_cast<unsigned>(slot));
       tls_owns_slot = false;
-      slot = -1;
     }
-    // Spare pool: wait for a freed slot (a worker detaching to block), or
-    // retire once surplus and idle past the grace period.  Base-pool
-    // threads (live <= worker_total_) never retire — they wait out the
-    // grace and loop.
+    // Spare pool: park until a worker detaching to block frees its slot,
+    // or until the scheduler stops.
     support::MutexLock lk(pool_mutex_);
-    for (;;) {
-      if (!free_slots_.empty()) {
-        slot = static_cast<int>(free_slots_.back());
-        free_slots_.pop_back();
-        break;
-      }
+    while (free_slots_.empty()) {
       if (stopping_.load(std::memory_order_acquire)) {
         --live_threads_;
-        self->exited.store(true, std::memory_order_release);
         return;
       }
       ++idle_spares_;
-      // pool_cv_ reacquires pool_mutex_ before the predicate runs; TSA
-      // cannot see through the lambda, so free_slots_ is re-checked on the
-      // loop above instead.
-      const bool signaled =
-          pool_cv_.wait_for(lk.native(), kSpareGrace, [this]() SIGRT_NO_THREAD_SAFETY_ANALYSIS {
-            return stopping_.load(std::memory_order_acquire) ||
-                   !free_slots_.empty();
-          });
+      pool_cv_.wait(lk.native());
       --idle_spares_;
-      if (!signaled && live_threads_ > worker_total_) {
-        --live_threads_;
-        ++spares_retired_;
-        self->exited.store(true, std::memory_order_release);
-        return;
-      }
     }
-  }
-}
-
-void Scheduler::reap_exited_locked() {
-  for (std::size_t i = 0; i < pool_threads_.size();) {
-    if (pool_threads_[i]->exited.load(std::memory_order_acquire)) {
-      // The flag is the thread's last store before returning; join is
-      // effectively immediate.
-      if (pool_threads_[i]->th.joinable()) pool_threads_[i]->th.join();
-      pool_threads_[i] = std::move(pool_threads_.back());
-      pool_threads_.pop_back();
-    } else {
-      ++i;
-    }
+    slot = static_cast<int>(free_slots_.back());
+    free_slots_.pop_back();
   }
 }
 
 void Scheduler::spawn_pool_thread_locked(int slot) {
-  reap_exited_locked();
-  auto pt = std::make_unique<PoolThread>();
-  PoolThread* raw = pt.get();
   ++live_threads_;
   if (slot < 0) ++spares_spawned_;
-  pool_threads_.push_back(std::move(pt));
-  raw->th = std::thread([this, raw, slot] { thread_main(raw, slot); });
+  pool_threads_.emplace_back([this, slot] { thread_main(slot); });
 }
 
 bool Scheduler::detach_for_blocking() {
@@ -717,7 +653,10 @@ bool Scheduler::detach_for_blocking() {
   {
     support::MutexLock lk(pool_mutex_);
     if (stopping_.load(std::memory_order_acquire)) return false;
-    const bool idle_available = idle_spares_ > 0;
+    // A parked spare takes the slot unless each one is already woken for
+    // a slot freed earlier: spares wait untimed, so a slot nobody was
+    // woken for would wait until some thread re-pools.
+    const bool idle_available = idle_spares_ > free_slots_.size();
     if (!idle_available && live_threads_ >= worker_total_ + kMaxSpares) {
       return false;  // budget exhausted: caller must keep helping
     }
@@ -792,26 +731,10 @@ PoolStats Scheduler::pool_stats() const {
     support::MutexLock lk(pool_mutex_);
     p.handoffs = handoffs_;
     p.spares_spawned = spares_spawned_;
-    p.spares_retired = spares_retired_;
     p.live_threads = live_threads_;
     p.idle_spares = idle_spares_;
   }
-  for (const auto& slot : slots_) {
-    p.near_steals += slot->near_steals.load(std::memory_order_relaxed);
-    p.far_steals += slot->far_steals.load(std::memory_order_relaxed);
-  }
   return p;
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> Scheduler::steal_locality()
-    const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    out.emplace_back(slot->near_steals.load(std::memory_order_relaxed),
-                     slot->far_steals.load(std::memory_order_relaxed));
-  }
-  return out;
 }
 
 SchedulerStats Scheduler::stats() const {

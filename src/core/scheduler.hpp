@@ -79,15 +79,12 @@ struct SchedulerStats {
   std::int64_t busy_ns = 0;
 };
 
-/// Elastic-pool and steal-locality counters (approximate while running).
+/// Elastic-pool counters.
 struct PoolStats {
   std::uint64_t handoffs = 0;        ///< worker slots handed to spares
   std::uint64_t spares_spawned = 0;  ///< threads created beyond the base pool
-  std::uint64_t spares_retired = 0;  ///< surplus threads exited after grace
   unsigned live_threads = 0;         ///< threads currently alive
   unsigned idle_spares = 0;          ///< threads parked awaiting a slot
-  std::uint64_t near_steals = 0;     ///< deque steals from cache-near victims
-  std::uint64_t far_steals = 0;      ///< deque steals across packages
 };
 
 class Scheduler {
@@ -105,7 +102,7 @@ class Scheduler {
 
   /// The last `unreliable` workers only execute tasks already classified
   /// Approximate/Dropped (see RuntimeConfig::unreliable_workers); clamped
-  /// to workers-1.  The steal order follows the host topology.
+  /// to workers-1.
   Scheduler(unsigned workers, unsigned unreliable, bool steal, void* ctx,
             ExecuteFn execute, DequeueFn on_dequeue = nullptr);
 
@@ -163,14 +160,14 @@ class Scheduler {
   //
   // A worker SLOT (deques, inbox, Parker, counters) has exactly
   // one owning thread at a time, but which thread owns it can change: a
-  // worker about to block — an in-task taskwait past the helping-depth
-  // cap, or a declared blocking section — hands its slot to a spare
-  // thread and continues DETACHED.  A detached thread may finish its
-  // current task body (its enqueues route remotely, its completions go to
-  // shared counters) but can no longer help or pop; when its body unwinds
-  // it re-enters the spare pool, where surplus threads retire after an
-  // idle grace period.  The pool is bounded (base workers + kMaxSpares),
-  // so a detach can fail — callers must then keep helping instead.
+  // worker whose in-task taskwait nests past the helping-depth cap hands
+  // its slot to a spare thread and continues DETACHED.  A detached thread
+  // may finish its current task body (its enqueues route remotely, its
+  // completions go to shared counters) but can no longer help or pop;
+  // when its body unwinds it re-enters the spare pool and parks there
+  // until a slot frees up or the scheduler stops.  The pool grows to at
+  // most base workers + kMaxSpares threads and never shrinks, so a
+  // detach can fail — callers must then keep helping instead.
 
   /// Hands the calling worker's slot to a spare thread so the caller may
   /// block.  Returns true on success (the caller is now detached — see
@@ -205,13 +202,8 @@ class Scheduler {
                                bool (*open)(void*), void* ctx,
                                std::chrono::microseconds timeout);
 
-  /// Elastic-pool and steal-locality counters.
+  /// Elastic-pool counters.
   [[nodiscard]] PoolStats pool_stats() const;
-
-  /// Per-worker {near, far} steal counters, indexed by slot (reporting
-  /// path — allocates the result vector).
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  steal_locality() const;
 
   /// Fixed at construction before any worker thread starts — safe to read
   /// from workers while the constructor is still emplacing threads.
@@ -259,32 +251,18 @@ class Scheduler {
     std::atomic<std::uint64_t> busy_cycles{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> steals{0};
-    /// Steal locality: successful deque steals split by victim distance
-    /// (near = SMT sibling or shared LLC, far = cross-package).
-    std::atomic<std::uint64_t> near_steals{0};
-    std::atomic<std::uint64_t> far_steals{0};
     std::atomic<WorkerState> state{WorkerState::Scanning};  // diagnostics
 
-    support::Xoshiro256 rng;  ///< owner-only: steal-victim randomization
-
-    /// Victim order, nearest-first (topology tiers); immutable after
-    /// construction.  near_count prefixes the cache-near victims.
-    std::vector<unsigned> steal_order;
-    std::size_t near_count = 0;
+    /// Owner-only: steal-victim randomization, written on every steal
+    /// attempt.  Starts its own cache line, apart from `inbox`, which
+    /// producers CAS.
+    alignas(64) support::Xoshiro256 rng;
   };
 
-  /// One pool thread (base worker or spare).  `exited` lets the spawner
-  /// reap finished threads opportunistically under pool_mutex_.
-  struct PoolThread {
-    std::thread th;
-    std::atomic<bool> exited{false};
-  };
-
-  void thread_main(PoolThread* self, int slot);
+  void thread_main(int slot);
   /// slot >= 0 binds the new thread to that slot immediately
   /// (construction); -1 spawns a spare that adopts from free_slots_.
   void spawn_pool_thread_locked(int slot) SIGRT_REQUIRES(pool_mutex_);
-  void reap_exited_locked() SIGRT_REQUIRES(pool_mutex_);
 
   void worker_loop(unsigned index);
   void run_task(Task* raw, unsigned index);
@@ -359,12 +337,11 @@ class Scheduler {
   /// is exhausted a too-deep waiter keeps helping (liveness over the stack
   /// bound).
   static constexpr unsigned kMaxSpares = 16;
-  /// Idle grace before a surplus spare retires.
-  static constexpr std::chrono::milliseconds kSpareGrace{5};
   mutable support::Mutex pool_mutex_;
   std::condition_variable pool_cv_;
-  std::vector<std::unique_ptr<PoolThread>> pool_threads_
-      SIGRT_GUARDED_BY(pool_mutex_);
+  /// Every thread the pool started (base workers and spares); joined at
+  /// destruction.
+  std::vector<std::thread> pool_threads_ SIGRT_GUARDED_BY(pool_mutex_);
   /// Slots awaiting a new owner.
   std::vector<unsigned> free_slots_ SIGRT_GUARDED_BY(pool_mutex_);
   /// Threads parked in pool_cv_.
@@ -372,7 +349,6 @@ class Scheduler {
   unsigned live_threads_ SIGRT_GUARDED_BY(pool_mutex_) = 0;
   std::uint64_t handoffs_ SIGRT_GUARDED_BY(pool_mutex_) = 0;
   std::uint64_t spares_spawned_ SIGRT_GUARDED_BY(pool_mutex_) = 0;
-  std::uint64_t spares_retired_ SIGRT_GUARDED_BY(pool_mutex_) = 0;
   /// Completions by detached threads (their old slot's single-writer
   /// counters belong to the new owner).
   std::atomic<std::uint64_t> detached_busy_cycles_{0};

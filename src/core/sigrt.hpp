@@ -7,7 +7,6 @@
 // the examples and benchmarks.
 #pragma once
 
-#include "core/autotuner.hpp"    // IWYU pragma: export
 #include "core/group.hpp"        // IWYU pragma: export
 #include "core/pragma.hpp"       // IWYU pragma: export
 #include "core/runtime.hpp"      // IWYU pragma: export

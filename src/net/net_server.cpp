@@ -15,7 +15,6 @@
 #include <system_error>
 #include <utility>
 
-#include "core/topology.hpp"
 #include "fault/fault.hpp"
 #include "net/framing.hpp"
 #include "support/timer.hpp"
@@ -114,11 +113,7 @@ struct NetServer::Poller {
 NetServer::NetServer(serve::Server& server, NetServerOptions options)
     : server_(server), options_(std::move(options)) {
   for (auto& k : kernels_) k.store(nullptr, std::memory_order_relaxed);
-  if (options_.pollers == 0) {
-    // Auto: one poller per LLC group — single-LLC boxes keep the cheap
-    // one-epoll configuration, multi-CCX/socket machines shard I/O.
-    options_.pollers = topo::system_topology().recommended_pollers();
-  }
+  options_.pollers = std::max(1u, options_.pollers);
 }
 
 NetServer::~NetServer() { stop(); }

@@ -65,8 +65,8 @@ struct NetServerOptions {
   /// Poller threads.  Each owns one epoll instance; connections are
   /// assigned round-robin at accept.  One poller saturates loopback at
   /// this protocol's frame sizes; more shard large connection counts.
-  /// 0 = auto: one per last-level-cache group (single-LLC boxes get 1).
-  unsigned pollers = 0;
+  /// 0 counts as 1.
+  unsigned pollers = 1;
 
   /// Per-connection outbound queue cap in bytes.  A client that stops
   /// reading while responses keep completing would otherwise buffer

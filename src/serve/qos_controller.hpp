@@ -1,11 +1,9 @@
 // Closed-loop load/quality controller for one request class.
 //
-// Generalizes the OnlineRatioController (core/autotuner.hpp) from "track a
-// quality bound between kernel invocations" to "track a latency deadline
-// under open-loop load": each epoch the server feeds the controller the
-// class's windowed p99 latency and in-flight depth, and the controller
-// answers with the group ratio() to apply and a perforation level for the
-// dispatcher.  AIMD with a degradation ladder:
+// Tracks a latency deadline under open-loop load: each epoch the server
+// feeds the controller the class's windowed p99 latency and in-flight
+// depth, and the controller answers with the group ratio() to apply and a
+// perforation level for the dispatcher.  AIMD with a degradation ladder:
 //
 //   violation  (p99 > deadline, or backlog above the high watermark):
 //       ratio <- max(floor, ratio * decrease_factor)        (rung 1)

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/task_options.hpp"
-#include "core/topology.hpp"
 #include "support/timer.hpp"
 
 namespace sigrt::serve {
@@ -36,12 +35,7 @@ RuntimeConfig serving_config(RuntimeConfig c) {
 /// requires real workers.
 unsigned dispatcher_count(const ServerOptions& options) {
   if (options.runtime.workers == 0) return 1u;
-  const unsigned requested =
-      options.dispatcher_threads != 0
-          ? options.dispatcher_threads
-          : topo::system_topology().recommended_dispatchers(
-                options.runtime.workers);
-  return std::max(1u, requested);
+  return std::max(1u, options.dispatcher_threads);
 }
 
 }  // namespace

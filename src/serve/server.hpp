@@ -76,16 +76,13 @@ struct ServerOptions {
   /// deterministic admission tests and by callers driving ratios manually).
   double epoch_ms = 10.0;
 
-  /// Dispatcher (spawner) threads issuing from the EDF heaps; clamped to
-  /// exactly 1 when the runtime is inline (workers == 0, whose synchronous
-  /// queue admits a single client thread).  0 = auto: one dispatcher per
-  /// last-level-cache group, bounded by workers/2 (see
-  /// topo::Topology::recommended_dispatchers) — single-socket desktops get
-  /// 1, multi-CCX/multi-socket boxes shard the spawn tier.  One dispatcher
-  /// preserves global EDF issue order trivially; more remove the
-  /// single-spawner bottleneck under high submit rates (the per-class heap
-  /// lock still serializes each class's issue order).
-  unsigned dispatcher_threads = 0;
+  /// Dispatcher (spawner) threads issuing from the EDF heaps; 0 counts as
+  /// 1, and the count is clamped to exactly 1 when the runtime is inline
+  /// (workers == 0, whose synchronous queue admits a single client
+  /// thread).  One dispatcher preserves global EDF issue order trivially;
+  /// more remove the single-spawner bottleneck under high submit rates
+  /// (the per-class heap lock still serializes each class's issue order).
+  unsigned dispatcher_threads = 1;
 
   /// Per-class dispatch window: at most this many of a class's requests
   /// sit inside the runtime (spawned, not yet completed) at once; the rest

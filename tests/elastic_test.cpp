@@ -1,26 +1,21 @@
-// Elastic-pool and topology tests: slot handoff on begin_blocking()
-// inflates the pool with spare threads and the pool deflates back to the
-// base worker count after the idle grace; deep spawn+taskwait recursion
-// keeps per-thread helping nesting bounded by the helping-depth cap (the
-// stack-bound oracle for detach-for-blocking); and the sysfs topology
-// probe is exercised against a fabricated /sys tree plus its flat
-// fallback.  The pool tests run under TSan in CI — they are the race
-// gate for the slot-handoff and spare-retirement protocols.
+// Elastic-pool tests: deep spawn+taskwait recursion keeps per-thread
+// helping nesting bounded by the helping-depth cap (the stack-bound oracle
+// for the slot handoff, whose one trigger is that cap); a detached
+// worker's outer frames park instead of spinning; spares park between
+// handoffs and are reused instead of re-created; and chains whose
+// innermost task throws leave the pool balanced.  They run under TSan in
+// CI — they are the race gate for the slot-handoff protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
+#include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include <sys/resource.h>
 
 #include "core/sigrt.hpp"
-#include "core/topology.hpp"
 
 namespace {
 
@@ -47,47 +42,6 @@ bool eventually(Pred pred, int deadline_ms = 2000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
-}
-
-// --- inflate / deflate oracle --------------------------------------------
-
-TEST(ElasticPool, BlockingHandoffInflatesThenPoolDeflatesAfterGrace) {
-  Runtime rt(pool_config(2));
-
-  // A task body that blocks outside the runtime hands its slot to a spare
-  // so the sibling task still has two workers' worth of parallelism.
-  std::atomic<bool> sibling_ran{false};
-  std::atomic<bool> detached{false};
-  rt.spawn(sigrt::task([&] {
-    sigrt::BlockingSection bs(rt);
-    detached.store(bs.detached(), std::memory_order_relaxed);
-    // "Blocked" span: wait until the sibling actually ran elsewhere.
-    while (!sibling_ran.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }));
-  rt.spawn(sigrt::task([&] {
-    sibling_ran.store(true, std::memory_order_release);
-  }));
-  rt.wait_all();
-
-  EXPECT_TRUE(detached.load());
-  const PoolStats inflated = rt.pool_stats();
-  EXPECT_GE(inflated.handoffs, 1u);
-  EXPECT_GE(inflated.spares_spawned, 1u);
-
-  // Deflate: once the blocked body unwound, the pool is one thread over
-  // strength; the surplus thread must retire after the idle grace.
-  EXPECT_TRUE(eventually([&] {
-    const PoolStats s = rt.pool_stats();
-    return s.spares_retired >= 1 && s.live_threads == 2;
-  })) << "pool never deflated: live_threads="
-      << rt.pool_stats().live_threads;
-}
-
-TEST(ElasticPool, BeginBlockingIsANoOpOffWorker) {
-  Runtime rt(pool_config(2));
-  EXPECT_FALSE(rt.begin_blocking());  // not a task body: nothing to hand off
 }
 
 // --- deep recursion: helping nesting stays bounded -----------------------
@@ -180,174 +134,80 @@ TEST(ElasticPool, DetachedWorkerParksInItsOuterHelpingFrames) {
                              << " s of mostly sleeping leaves";
 }
 
+// Spares park between handoffs: a chain 64 deep on one worker hands the
+// slot off about three times a round, and every later round reuses the
+// spares the first one created instead of starting new threads.
+TEST(ElasticPool, SparesStayParkedAndAreReusedAcrossRounds) {
+  constexpr int kDepth = 64;
+  constexpr int kRounds = 6;
+  Runtime rt(pool_config(1));
+  std::atomic<int> visited{0};
+  std::uint64_t handoffs = 0;
+  std::uint64_t spares = 0;  // spawned by the first round
+  for (int round = 0; round < kRounds; ++round) {
+    rt.spawn(sigrt::task([&] { chain(rt, kDepth - 1, visited); }));
+    rt.wait_all();
+    const PoolStats s = rt.pool_stats();
+    EXPECT_GT(s.handoffs, handoffs) << "round " << round << " never detached";
+    handoffs = s.handoffs;
+    if (round == 0) spares = s.spares_spawned;
+    EXPECT_EQ(s.spares_spawned, spares) << "round " << round;
+    EXPECT_EQ(s.live_threads, 1 + s.spares_spawned) << "round " << round;
+    // Idle well past any grace period a pool could give its spares.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(visited.load(), kDepth * kRounds);
+}
+
+/// A chain of in-task taskwaits whose innermost task throws; every level's
+/// wait rethrows, so the error climbs to the root.
+void throwing_chain(Runtime& rt, int depth) {
+  if (depth == 0) throw std::runtime_error("innermost boom");
+  rt.spawn(sigrt::task([&rt, depth] { throwing_chain(rt, depth - 1); }));
+  rt.wait_all();
+}
+
 TEST(ElasticPool, PoolStaysBalancedAfterBlockingStormsWithFailures) {
-  // Repeated storms of blocking sections whose bodies then THROW: the
-  // handoff path (slot donated to a spare) composes with the error path
-  // (exception recorded, barrier rethrows).  The oracle is the PoolStats
-  // ledger — slots were actually handed off, and after the storms the pool
-  // deflates back to exactly the base worker count instead of leaking a
-  // spare per failure.
+  // Repeated storms of chains nested past the helping-depth cap whose
+  // innermost task THROWS: the handoff path (slot donated to a spare)
+  // composes with the error path (exception recorded, every barrier on
+  // the way up rethrows).  The oracle is the PoolStats ledger — after the
+  // storms every thread but the two slot owners is parked in the pool,
+  // none was lost or leaked, and the spare budget held.
   Runtime rt(pool_config(2));
 
   constexpr int kRounds = 8;
+  constexpr int kChains = 4;
+  // Two slot owners hold at most kHelpingDepth + 1 waiting levels each,
+  // so a chain this deep hands a slot off at least once.
+  constexpr int kChainDepth = 2 * static_cast<int>(Runtime::kHelpingDepth) + 8;
   std::atomic<int> siblings{0};
   for (int round = 0; round < kRounds; ++round) {
-    for (int i = 0; i < 4; ++i) {
-      rt.spawn(sigrt::task([&rt] {
-        {
-          sigrt::BlockingSection bs(rt);
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-        throw std::runtime_error("post-blocking boom");
-      }));
+    for (int i = 0; i < kChains; ++i) {
+      rt.spawn(sigrt::task([&rt] { throwing_chain(rt, kChainDepth); }));
       rt.spawn(sigrt::task([&] { siblings.fetch_add(1); }));
     }
-    try {
-      rt.wait_all();
-    } catch (const std::runtime_error&) {
-    }
+    EXPECT_THROW(rt.wait_all(), std::runtime_error) << "round " << round;
   }
 
-  EXPECT_EQ(siblings.load(), kRounds * 4);
-  const PoolStats mid = rt.pool_stats();
-  EXPECT_GE(mid.handoffs, 1u);  // the storms really exercised the handoff
-  // Balanced ledger: every spare the storms spawned retires after the
-  // grace, and the live count settles back to the base workers.
+  EXPECT_EQ(siblings.load(), kRounds * kChains);
+  EXPECT_GE(rt.pool_stats().handoffs, 1u);  // the storms really handed off
   EXPECT_TRUE(eventually([&] {
     const PoolStats s = rt.pool_stats();
-    return s.live_threads == 2 && s.idle_spares == 0;
-  })) << "pool did not deflate: live_threads="
-      << rt.pool_stats().live_threads
-      << " idle_spares=" << rt.pool_stats().idle_spares;
-  const PoolStats end = rt.pool_stats();
-  EXPECT_EQ(end.spares_spawned, end.spares_retired);
+    return s.idle_spares == s.spares_spawned &&
+           s.live_threads == 2 + s.spares_spawned;
+  })) << "pool unbalanced: live_threads=" << rt.pool_stats().live_threads
+      << " idle_spares=" << rt.pool_stats().idle_spares
+      << " spares_spawned=" << rt.pool_stats().spares_spawned;
+  EXPECT_LE(rt.pool_stats().spares_spawned, 16u);  // Scheduler::kMaxSpares
 
-  // And the deflated pool still runs work.
+  // And the pool still runs work.
   std::atomic<int> after{0};
   for (int i = 0; i < 8; ++i) {
     rt.spawn(sigrt::task([&] { after.fetch_add(1); }));
   }
   rt.wait_all();
   EXPECT_EQ(after.load(), 8);
-}
-
-// --- topology probe -------------------------------------------------------
-
-/// Writes one small sysfs-style file, creating parent directories.
-void put_file(const std::filesystem::path& p, const std::string& contents) {
-  std::filesystem::create_directories(p.parent_path());
-  std::FILE* f = std::fopen(p.c_str(), "w");
-  ASSERT_NE(f, nullptr) << p;
-  std::fwrite(contents.data(), 1, contents.size(), f);
-  std::fclose(f);
-}
-
-/// Fabricates a two-package tree: package 0 holds cpus 0,1 as SMT siblings
-/// of one core; package 1 holds cpus 2,3 as two distinct cores.  Each
-/// package shares an L3; every cpu has a private 512K L2.
-std::filesystem::path make_fake_sysfs() {
-  const auto root = std::filesystem::path(::testing::TempDir()) /
-                    "sigrt_topo_sysfs";
-  std::filesystem::remove_all(root);
-  const auto base = root / "devices/system/cpu";
-  put_file(base / "online", "0-3\n");
-  struct Cpu {
-    unsigned pkg, core;
-    const char* l3_shared;
-  };
-  const Cpu cpus[4] = {{0, 0, "0-1"}, {0, 0, "0-1"}, {1, 0, "2-3"},
-                       {1, 1, "2-3"}};
-  for (unsigned c = 0; c < 4; ++c) {
-    const auto dir = base / ("cpu" + std::to_string(c));
-    put_file(dir / "topology/physical_package_id",
-             std::to_string(cpus[c].pkg) + "\n");
-    put_file(dir / "topology/core_id", std::to_string(cpus[c].core) + "\n");
-    put_file(dir / "cache/index0/level", "1\n");
-    put_file(dir / "cache/index0/type", "Data\n");
-    put_file(dir / "cache/index0/size", "48K\n");
-    put_file(dir / "cache/index0/shared_cpu_list", std::to_string(c) + "\n");
-    // Index numbering is dense in sysfs (the probe stops at the first
-    // missing indexN), so the instruction L1 must be present even though
-    // the probe skips it.
-    put_file(dir / "cache/index1/level", "1\n");
-    put_file(dir / "cache/index1/type", "Instruction\n");
-    put_file(dir / "cache/index1/size", "32K\n");
-    put_file(dir / "cache/index1/shared_cpu_list", std::to_string(c) + "\n");
-    put_file(dir / "cache/index2/level", "2\n");
-    put_file(dir / "cache/index2/type", "Unified\n");
-    put_file(dir / "cache/index2/size", "512K\n");
-    put_file(dir / "cache/index2/shared_cpu_list", std::to_string(c) + "\n");
-    put_file(dir / "cache/index3/level", "3\n");
-    put_file(dir / "cache/index3/type", "Unified\n");
-    put_file(dir / "cache/index3/size", "8192K\n");
-    put_file(dir / "cache/index3/shared_cpu_list",
-             std::string(cpus[c].l3_shared) + "\n");
-  }
-  return root;
-}
-
-TEST(Topology, ProbeParsesAFabricatedSysfsTree) {
-  const auto root = make_fake_sysfs();
-  const sigrt::topo::Topology t = sigrt::topo::probe(root.string());
-
-  EXPECT_TRUE(t.from_sysfs);
-  ASSERT_EQ(t.cpu_count(), 4u);
-  EXPECT_EQ(t.packages, 2u);
-  EXPECT_EQ(t.cores, 3u);       // cpus 0,1 share one; 2 and 3 are distinct
-  EXPECT_EQ(t.llc_groups, 2u);  // one L3 per package
-  EXPECT_EQ(t.l2_bytes, 512u * 1024u);
-  EXPECT_EQ(t.llc_bytes, 8192u * 1024u);
-
-  // Distance tiers: SMT sibling < shared-LLC core < remote package.
-  EXPECT_EQ(t.worker_distance(0, 1), 0u);
-  EXPECT_EQ(t.worker_distance(2, 3), 1u);
-  EXPECT_EQ(t.worker_distance(0, 2), 3u);
-
-  // Nearest-first victim order from worker 0: the SMT sibling leads, the
-  // remote package trails; near_victims marks the cache-sharing prefix.
-  const std::vector<unsigned> order = t.steal_order(0, 4);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(t.near_victims(0, 4), 1u);
-
-  std::filesystem::remove_all(root);
-}
-
-TEST(Topology, ProbeFallsBackFlatWhenSysfsIsMissing) {
-  const sigrt::topo::Topology t = sigrt::topo::probe("/nonexistent_sysfs");
-  EXPECT_FALSE(t.from_sysfs);
-  EXPECT_GE(t.cpu_count(), 1u);
-  EXPECT_EQ(t.packages, 1u);
-  EXPECT_EQ(t.llc_groups, 1u);
-  // Flat model: every distinct pair sits at tier 1 (no near/far split).
-  if (t.cpu_count() >= 2) EXPECT_EQ(t.worker_distance(0, 1), 1u);
-}
-
-TEST(Topology, StealOrderIsAPermutationOfAllOtherWorkersAtAnyCount) {
-  const auto root = make_fake_sysfs();
-  const sigrt::topo::Topology t = sigrt::topo::probe(root.string());
-  // Worker counts both under and over the cpu count (oversubscription
-  // wraps workers onto cpus round-robin).
-  for (unsigned workers : {2u, 3u, 4u, 7u}) {
-    for (unsigned self = 0; self < workers; ++self) {
-      const std::vector<unsigned> order = t.steal_order(self, workers);
-      ASSERT_EQ(order.size(), workers - 1) << "self=" << self;
-      std::vector<bool> seen(workers, false);
-      for (unsigned v : order) {
-        ASSERT_LT(v, workers);
-        EXPECT_NE(v, self);
-        EXPECT_FALSE(seen[v]) << "duplicate victim " << v;
-        seen[v] = true;
-      }
-      // Distances never decrease along the order (nearest-first).
-      for (std::size_t i = 1; i < order.size(); ++i) {
-        EXPECT_LE(t.worker_distance(self, order[i - 1]),
-                  t.worker_distance(self, order[i]));
-      }
-      EXPECT_LE(t.near_victims(self, workers), order.size());
-    }
-  }
-  std::filesystem::remove_all(root);
 }
 
 }  // namespace
