@@ -17,14 +17,20 @@
 //
 // Each shape runs at 1/4/8 workers.  Like micro_spawn, the driver counts
 // heap allocations through an instrumented global operator new and warms
-// up until a full round allocates nothing, so the steady-state
-// allocs-per-task column gates the tracker's reset-not-free contract.
+// up until a full round allocates nothing (or the warm-up cap is reached).
+// A round takes 5-16 ms, so each cell then times kTimedRounds of them:
+// `tasks_per_sec` and `wall_s` are the median round's, while `tasks`,
+// `allocs` and `dep_edges` sum over the timed rounds.  Summed over seven
+// rounds, `allocs` records what the timed rounds allocated — task slabs
+// carved at a new in-flight high-water included — rather than gating zero.
 // Output is one JSON line (BENCH_micro_deps.json in CI); any CLI
 // arguments are accepted and ignored for harness compatibility.
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -34,6 +40,8 @@
 namespace {
 
 constexpr std::size_t kCellBytes = 64;
+/// Timed rounds per cell (odd: the median is a real round).
+constexpr unsigned kTimedRounds = 7;
 
 /// One cache line per logical cell of the chain and stencil shapes.
 struct alignas(kCellBytes) Cell {
@@ -43,12 +51,13 @@ struct alignas(kCellBytes) Cell {
 struct DepRecord {
   const char* shape = "";
   unsigned workers = 0;
+  unsigned rounds = 0;
   std::uint64_t tasks = 0;
   std::uint64_t allocs = 0;
   double allocs_per_task = 0.0;
   std::uint64_t dep_edges = 0;
-  double wall_s = 0.0;
-  double tasks_per_sec = 0.0;
+  double wall_s = 0.0;         ///< the median round's
+  double tasks_per_sec = 0.0;  ///< the median round's
 };
 
 // C chains built breadth-first (round-robin over chains per step) so the
@@ -133,8 +142,8 @@ DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
   sigrt::Runtime rt(c);
   std::vector<Cell> cells(cell_count);
 
-  // Warm-up: populate the task pool, the tracker's region slots and every
-  // reader/dependents buffer to the workload's high-water mark, repeating
+  // Warm-up: populate the task pool, the tracker's region slots, reader
+  // lists and edge records to the workload's high-water mark, repeating
   // until a full round allocates nothing (true steady state).
   for (int r = 0; r < max_warmup; ++r) {
     const std::uint64_t before = alloc_counter::count();
@@ -142,24 +151,39 @@ DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
     if (r > 0 && alloc_counter::count() == before) break;
   }
 
-  const std::uint64_t e0 = rt.stats().dep_edges;
-  const std::uint64_t a0 = alloc_counter::count();
-  const std::int64_t t0 = sigrt::support::now_ns();
-  const std::uint64_t tasks = round(rt, cells);
-  const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = alloc_counter::count();
-
   DepRecord r;
   r.shape = shape;
   r.workers = workers;
-  r.tasks = tasks;
-  r.allocs = a1 - a0;
-  r.allocs_per_task = static_cast<double>(r.allocs) / static_cast<double>(tasks);
-  r.dep_edges = rt.stats().dep_edges - e0;
-  r.wall_s = static_cast<double>(t1 - t0) * 1e-9;
-  if (r.wall_s > 0) {
-    r.tasks_per_sec = static_cast<double>(tasks) / r.wall_s;
+  r.rounds = kTimedRounds;
+  // (wall ns, tasks) per timed round; the scratch is reserved before the
+  // first round so the alloc count sees only the runtime.
+  std::vector<std::pair<std::int64_t, std::uint64_t>> timed;
+  timed.reserve(kTimedRounds);
+  const std::uint64_t e0 = rt.stats().dep_edges;
+  const std::uint64_t a0 = alloc_counter::count();
+  for (unsigned k = 0; k < kTimedRounds; ++k) {
+    const std::int64_t t0 = sigrt::support::now_ns();
+    const std::uint64_t tasks = round(rt, cells);
+    timed.emplace_back(sigrt::support::now_ns() - t0, tasks);
   }
+  r.allocs = alloc_counter::count() - a0;
+  r.dep_edges = rt.stats().dep_edges - e0;
+  for (const auto& [ns, tasks] : timed) r.tasks += tasks;
+  r.allocs_per_task =
+      static_cast<double>(r.allocs) / static_cast<double>(r.tasks);
+
+  // Median round by rate; its wall time goes with it.
+  const auto rate = [](const std::pair<std::int64_t, std::uint64_t>& t) {
+    return t.first > 0 ? static_cast<double>(t.second) * 1e9 /
+                             static_cast<double>(t.first)
+                       : 0.0;
+  };
+  std::sort(timed.begin(), timed.end(), [&](const auto& a, const auto& b) {
+    return rate(a) < rate(b);
+  });
+  const auto& median = timed[timed.size() / 2];
+  r.wall_s = static_cast<double>(median.first) * 1e-9;
+  r.tasks_per_sec = rate(median);
   return r;
 }
 
@@ -184,11 +208,11 @@ int main(int, char**) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     const DepRecord& r = records[i];
     std::printf(
-        "%s{\"shape\":\"%s\",\"workers\":%u,\"tasks\":%" PRIu64
+        "%s{\"shape\":\"%s\",\"workers\":%u,\"rounds\":%u,\"tasks\":%" PRIu64
         ",\"allocs\":%" PRIu64
         ",\"allocs_per_task\":%.6f,\"dep_edges\":%" PRIu64
         ",\"wall_s\":%.6f,\"tasks_per_sec\":%.1f}",
-        i == 0 ? "" : ",", r.shape, r.workers, r.tasks, r.allocs,
+        i == 0 ? "" : ",", r.shape, r.workers, r.rounds, r.tasks, r.allocs,
         r.allocs_per_task, r.dep_edges, r.wall_s, r.tasks_per_sec);
   }
   std::printf("]}\n");

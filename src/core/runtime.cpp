@@ -307,8 +307,8 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   // classification (released by GtbPolicy through release_bulk) — only
   // taken when a GTB buffer exists, see below — plus one per
   // unfinished predecessor.  deps is only known *after* registration, and
-  // predecessors may complete — and decrement the gate — as soon as the
-  // tracker unlocks, before the count is folded in below.  Seeding the gate
+  // predecessors may complete — and decrement the gate — as soon as their
+  // edge is pushed, before the count is folded in below.  Seeding the gate
   // with a large spawn hold and then subtracting the surplus makes it
   // impossible for those early decrements to drive the gate to zero before
   // the dependency count is folded in (with a plain initial value of
@@ -326,7 +326,7 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   task->gate.store(kSpawnHold, std::memory_order_relaxed);
   // Footprint-free tasks bypass the tracker entirely: they can neither
   // have predecessors nor ever be one, so both the registration here and
-  // the completion lookup skip the tracker's lock.
+  // the completion skip the tracker.
   const std::size_t deps =
       task->has_footprint ? tracker_.register_node(task.get(), options.accesses)
                           : 0;
@@ -553,10 +553,13 @@ void Runtime::execute_task(Task& task, unsigned worker) {
   }
 
   // Completion order matters: downstream tasks must only start after this
-  // task's side effects are visible.  A registration that finds this task
-  // already completed takes the tracker's lock after complete() released
-  // it, which orders those effects before it; dependents handed out here
-  // ride the scheduler's publication edges instead.
+  // task's side effects are visible.  complete() takes no lock: a
+  // registration that finds this task's dependents list closed reads the
+  // mark with acquire from complete()'s exchange, and one that finds the
+  // task already drained acquires the tracker's lock after the drain that
+  // took it off the retired list; either way it sees those effects.
+  // Dependents handed out here ride the scheduler's publication edges
+  // instead.
   // Multiple dependents becoming runnable at once go out as one batch.
   // Scratch frames are leased from a per-thread pool (capacity-stable, so
   // steady-state completions touch no allocator) rather than being a flat
@@ -778,6 +781,10 @@ void Runtime::wait_all() {
   } else {
     help_until([this] { return pending_.load(std::memory_order_acquire) == 0; },
                /*wtask=*/nullptr, /*wlist=*/&waiters_);
+    // Every task completed has pushed itself onto the tracker's retired
+    // list before its units dropped: drop their pins now, so the barrier
+    // leaves no live region and no pinned slot.
+    tracker_.reclaim();
   }
   rethrow_pending_error();
 }
@@ -811,6 +818,7 @@ void Runtime::wait_group(GroupId group) {
   }
   help_until([&g] { return g.pending() == 0; }, /*wtask=*/nullptr,
              /*wlist=*/&g.waiters());
+  if (tls_task_frame.runtime != this) tracker_.reclaim();  // as in wait_all
   rethrow_pending_error();
 }
 
@@ -877,7 +885,7 @@ RuntimeStats Runtime::stats() const {
   s.faults = faults_.load(std::memory_order_relaxed);
   s.busy_s = static_cast<double>(sched.busy_ns) * 1e-9;
   s.wall_s = static_cast<double>(support::now_ns() - start_ns_) * 1e-9;
-  s.dep_edges = tracker_.stats().edges;
+  s.dep_edges = tracker_.edges();
   return s;
 }
 

@@ -196,9 +196,8 @@ class Runtime final : public energy::ActivitySource {
   [[nodiscard]] const char* policy_name() const noexcept {
     return to_string(config_.policy);
   }
-  [[nodiscard]] const dep::BlockTracker& tracker() const noexcept {
-    return tracker_;
-  }
+  /// Non-const: the tracker's stats() drains completed tasks first.
+  [[nodiscard]] dep::BlockTracker& tracker() noexcept { return tracker_; }
 
   /// Energy meter: RAPL when available, the E5-2650 activity model
   /// otherwise.  Wrap regions in energy::Scope to measure.

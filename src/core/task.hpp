@@ -68,7 +68,8 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
 
   /// True when the task registered in()/out() clauses with the dependence
   /// tracker.  A task without a footprint can never be named a predecessor,
-  /// so its completion skips the tracker's lock entirely.
+  /// so its completion skips the tracker entirely: no dependents list to
+  /// close and no retired-list push.
   bool has_footprint = false;
 
   // --- nested parallelism -------------------------------------------------
@@ -147,7 +148,7 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
 
   /// Pool hook: restores the slot to its freshly-constructed state on the
   /// freeing thread.  Bodies are destroyed eagerly (captured resources
-  /// release now, not at reuse); the dependents vector keeps its capacity.
+  /// release now, not at reuse); the clause-range vector keeps its capacity.
   void reset_for_reuse() noexcept {
     accurate.reset();
     approximate.reset();

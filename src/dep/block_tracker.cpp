@@ -77,11 +77,42 @@ bool BlockTracker::link(Node* pred, Node* succ, std::uint64_t stamp) {
   if (pred == nullptr || pred == succ || pred->visit_stamp_ == stamp) {
     return false;  // no history, the node itself, or already linked
   }
-  assert(!pred->ranges_.empty() && "a completed node is still parked");
+  assert(!pred->ranges_.empty() && "a drained node is still parked");
   pred->visit_stamp_ = stamp;
-  succ->ref_retain();  // the dependents entry owns one reference
-  pred->dependents_.push_back(succ);
+  // Acquire: a closed list means the predecessor completed, and its side
+  // effects are then visible here (the closing exchange releases them).
+  Edge* head = pred->dependents_.load(std::memory_order_acquire);
+  if (head == Node::closed()) return false;
+  Edge* const e = take_edge();
+  e->succ = succ;
+  succ->ref_retain();  // the edge owns one reference
+  e->next = head;
+  // Only link() pushes, always under the lock, so the CAS can fail only
+  // against the closing exchange: then no edge is made.
+  if (!pred->dependents_.compare_exchange_strong(head, e,
+                                                 std::memory_order_release,
+                                                 std::memory_order_acquire)) {
+    assert(head == Node::closed());
+    succ->ref_release();  // never the last: the registering caller holds one
+    e->next = free_edges_;
+    free_edges_ = e;
+    return false;
+  }
   return true;
+}
+
+BlockTracker::Edge* BlockTracker::take_edge() {
+  if (free_edges_ == nullptr) {
+    auto chunk = std::make_unique<Edge[]>(kEdgeChunk);
+    for (std::size_t i = 0; i < kEdgeChunk; ++i) {
+      chunk[i].next = free_edges_;
+      free_edges_ = &chunk[i];
+    }
+    edge_chunks_.push_back(std::move(chunk));
+  }
+  Edge* const e = free_edges_;
+  free_edges_ = e->next;
+  return e;
 }
 
 std::size_t BlockTracker::record(std::uint64_t lo, std::uint64_t hi, Mode mode,
@@ -157,7 +188,9 @@ std::size_t BlockTracker::record(std::uint64_t lo, std::uint64_t hi, Mode mode,
 std::size_t BlockTracker::register_node(Node* node,
                                         std::span<const Access> accesses) {
   assert(node->ranges_.empty() && "a node registers once per life");
+  Drained drained;
   support::SpinLockGuard guard(lock_);
+  drained.list = drain();
   ++registered_nodes_;
   const std::uint64_t stamp = stamp_++;
   Pins pins{node};
@@ -180,15 +213,51 @@ std::size_t BlockTracker::register_node(Node* node,
 }
 
 void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
-  support::SpinLockGuard guard(lock_);
-  // The dependents' references transfer to the caller; the vector keeps its
-  // capacity for the node's next life in the task pool.
-  out.insert(out.end(), node.dependents_.begin(), node.dependents_.end());
-  node.dependents_.clear();
+  // acq_rel: acquire pairs with link()'s release CAS, so every record on
+  // the list is visible; release publishes this node's side effects to a
+  // link() that then reads the closed mark.  The successors' references
+  // transfer to the caller, oldest edge first.
+  Edge* const edges =
+      node.dependents_.exchange(Node::closed(), std::memory_order_acq_rel);
+  const std::size_t first = out.size();
+  for (Edge* e = edges; e != nullptr; e = e->next) out.push_back(e->succ);
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+  node.harvested_ = edges;
+  // The retired list's reference keeps the node until a drain has dropped
+  // its pins.  After the push another thread may drain and release it, so
+  // this function touches the node no more.
+  node.ref_retain();
+  Node* head = retired_.load(std::memory_order_relaxed);
+  do {
+    node.retired_next_ = head;
+  } while (!retired_.compare_exchange_weak(head, &node,
+                                           std::memory_order_release,
+                                           std::memory_order_relaxed));
+}
+
+Node* BlockTracker::drain() {
+  if (retired_.load(std::memory_order_relaxed) == nullptr) return nullptr;
+  // Acquire pairs with complete()'s release push: each node's harvested
+  // edges, its side effects and its retired link are visible.
+  Node* const list = retired_.exchange(nullptr, std::memory_order_acquire);
+  for (Node* n = list; n != nullptr; n = n->retired_next_) drop_pins(*n);
+  // Vacant regions are erased in bulk once they outnumber the live ones,
+  // so the map stays within twice its live size (plus kSweepAt).
+  if (vacant_ >= kSweepAt && 2 * vacant_ > regions_.size()) sweep();
+  return list;
+}
+
+void BlockTracker::drop_pins(Node& node) {
+  // The harvested records go back to the pool; complete() handed their
+  // successors out already.
+  while (Edge* const e = node.harvested_) {
+    node.harvested_ = e->next;
+    e->next = free_edges_;
+    free_edges_ = e;
+  }
 
   // Drop every region pin still naming this node, so the tracker holds no
-  // pointer to it afterwards (pooled tasks recycle promptly; plain test
-  // nodes may be destroyed).  The node's regions lie inside its clause
+  // pointer to it afterwards.  The node's regions lie inside its clause
   // ranges — splits only cut them finer — and a displaced pin simply is
   // not found.
   Pins pins{&node};
@@ -224,30 +293,44 @@ void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
     if (changed && i < regions_.size()) merge_into_prev(i, pins);
   }
   node.ranges_.clear();
-  // Vacant regions are erased in bulk once they outnumber the live ones,
-  // so the map stays within twice its live size (plus kSweepAt).
-  if (vacant_ >= kSweepAt && 2 * vacant_ > regions_.size()) sweep();
-  // The node's own pins drop in one step.
+  // The node's own pins drop in one step.  Never its last reference: the
+  // node still holds its retired-list reference.
   if (pins.parks < 0) unpin(&node, static_cast<std::uint32_t>(-pins.parks));
 }
 
-void BlockTracker::reset() {
-  // Precondition: no registered node is still pending, so every pin was
-  // already dropped by complete() — the regions reference nothing and are
-  // simply forgotten.  Never-completed nodes (test-owned) lose their no-op
-  // pins without being touched.
+void BlockTracker::reclaim() {
+  if (retired_.load(std::memory_order_relaxed) == nullptr) return;
+  Drained drained;
   support::SpinLockGuard guard(lock_);
+  drained.list = drain();
+}
+
+void BlockTracker::reset() {
+  // Precondition: no registered node is still pending.  Once the completed
+  // nodes are drained the regions reference nothing and are simply
+  // forgotten.  Never-completed nodes (test-owned) lose their no-op pins
+  // without being touched.
+  Drained drained;
+  support::SpinLockGuard guard(lock_);
+  drained.list = drain();
   while (!regions_.empty()) erase(regions_.size() - 1);
   vacant_ = 0;
 }
 
-TrackerStats BlockTracker::stats() const {
+TrackerStats BlockTracker::stats() {
+  Drained drained;
   support::SpinLockGuard guard(lock_);
+  drained.list = drain();
   TrackerStats s;
   s.registered_nodes = registered_nodes_;
   s.edges = edges_;
   s.live_regions = regions_.size() - vacant_;
   return s;
+}
+
+std::uint64_t BlockTracker::edges() const {
+  support::SpinLockGuard guard(lock_);
+  return edges_;
 }
 
 }  // namespace sigrt::dep

@@ -13,8 +13,8 @@
 //
 // The tracker is policy-agnostic: it neither schedules nor executes.  The
 // runtime registers each task at spawn time and notifies completion from
-// worker threads.  As in the paper's runtime (§3.4), all dependence
-// bookkeeping sits under one lock:
+// worker threads.  As in the paper's runtime (§3.4), the region map sits
+// under one lock; completions stay off it:
 //
 //   * Regions.  One ordered map of disjoint byte regions [lo, hi), each
 //     with a last writer and a reader list.  A clause splits the regions at
@@ -26,43 +26,56 @@
 //     footprint does not reshape the map.  Vacant regions are swept out in
 //     bulk once they outnumber the live ones, so the map holds only the
 //     fragments of clauses in flight plus a bounded slack.  Reader lists
-//     are reset, never freed, so a map that has reached its high-water
-//     shape allocates nothing.
-//   * Locking.  register_node() takes the lock once and records every
-//     clause under it; complete() takes it once, harvests the node's
-//     dependents and drops its region pins.  Registrations therefore
-//     serialize, which is what keeps the discovered task graph acyclic, and
-//     a completion never interleaves with a registration: a region names
-//     only nodes that have not completed, so link() needs no done flag and
-//     the per-node dependence state (dependents, clause ranges, pins,
-//     visit stamp) is plain data guarded by the tracker's lock.  The
-//     dependent workloads this runtime targets carry an in() over a whole
-//     image or vector, which a sharded map had to record on every shard;
-//     under one lock such a clause is one acquisition and one region.
+//     are reset, never freed, and dependents-list edges come from a free
+//     list refilled in chunks that are never freed, so a tracker that has
+//     reached its high-water shape allocates nothing.
+//   * Locking.  Only register_node() takes the lock, once, and records
+//     every clause under it.  Registrations therefore serialize, which is
+//     what keeps the discovered task graph acyclic.  complete() takes no
+//     lock: it closes the node's dependents list with one exchange and
+//     pushes the node onto a lock-free retired list.  The next
+//     registration drops the retired nodes' region pins under the lock it
+//     holds anyway, and so do reclaim() (called after every top-level
+//     barrier), reset() and stats().  So a region may name a completed
+//     node until that drain, and link() recognises such a node by the
+//     closed mark on its list: it makes no edge.  The rest of the per-node
+//     dependence state (clause ranges, pins, visit stamp) is plain data
+//     guarded by the tracker's lock.  The dependent workloads this runtime
+//     targets carry an in() over a whole image or vector, which a sharded
+//     map had to record on every shard; under one lock such a clause is
+//     one acquisition and one region.
 //
-// Visibility: a predecessor's side effects happen before its complete(),
-// which releases the lock.  A registration that finds the predecessor gone
-// acquires the lock afterwards and so sees them; a dependent handed out by
-// complete() rides the scheduler's publication edges instead.
+// Visibility: a predecessor's side effects happen before its complete().
+// A registration that finds the predecessor's list closed read the mark
+// with acquire from the closing exchange, and one that finds the
+// predecessor drained acquires the lock after the drain, which took the
+// node off the retired list with acquire; either way it sees those
+// effects.  A dependent handed out by complete() rides the scheduler's
+// publication edges instead.
 //
 // Lifetime: the tracker circulates raw Node* and pins nodes through the
 // intrusive ref_retain()/ref_release() hooks — one shared reference
 // covering all of a node's region pins (one per region naming it as writer
 // or reader, counted by Node::pin_count_; a split that copies a writer or
-// readers adds pins, a merge or a displacing writer drops them) and one
-// reference per dependents-list entry.  complete() removes every region
-// pin of the completing node, so after complete() returns the tracker holds
-// no pointer to it.  For sigrt::Task the hooks drive the pooled intrusive
-// refcount; for plain Nodes (tests) they default to no-ops and the caller
-// must keep a registered node alive until it completes (the tracker may
-// read it on any later registration of an overlapping range).  The
-// destructor drops any remaining regions without touching the nodes: with
-// every registered node completed (the runtime barriers before teardown)
-// there are none, and never-completed test nodes are simply forgotten.
+// readers adds pins, a merge or a displacing writer drops them), one
+// reference per dependents-list edge, and one for the retired list.
+// After complete() returns, the tracker still holds the node until a later
+// register_node(), reclaim(), reset() or stats() drops its region pins;
+// that drain releases the retired-list reference after it unlocks, so no
+// node recycles under the lock.  For sigrt::Task the hooks drive the
+// pooled intrusive refcount; for plain Nodes (tests) they default to
+// no-ops and the caller must keep a registered node alive until a drain
+// after its complete() (the tracker may read it on any later registration
+// of an overlapping range).  The destructor drops any remaining regions
+// and retired nodes without touching the nodes: the runtime's last barrier
+// reclaims before teardown, so there are none, and test nodes are simply
+// forgotten.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -106,33 +119,41 @@ template <typename T>
 }
 
 /// Participant in dependence tracking.  sigrt::Task derives from this.
-/// The private fields are the node's dependence state.  Between
-/// registration and completion they are read and written only under the
-/// lock of the tracker the node registered with (a guard the analysis
-/// cannot name from here); reset_dep_state() runs on an exclusively owned
-/// slot.
+/// The private fields are the node's dependence state.  Clause ranges, pin
+/// count and visit stamp are read and written only under the lock of the
+/// tracker the node registered with (a guard the analysis cannot name from
+/// here).  The dependents list is atomic: link() pushes under that lock,
+/// complete() closes it without.  complete() writes harvested_ and
+/// retired_next_ before its release push onto the retired list; the drain
+/// reads them after its acquire swap.  reset_dep_state() runs on an
+/// exclusively owned slot.
 class Node {
  public:
   virtual ~Node() = default;
 
   /// Lifetime hooks: the tracker retains a node for as long as it appears
-  /// in dependence state (a region or a dependents list) and releases it
-  /// when that slot is dropped or handed to the caller.  Defaults are
-  /// no-ops so standalone Nodes (tests) need no refcount — their owner
-  /// keeps them alive until complete().
+  /// in dependence state (a region, a dependents list or the retired list)
+  /// and releases it when that slot is dropped or handed to the caller.
+  /// Defaults are no-ops so standalone Nodes (tests) need no refcount —
+  /// their owner keeps them alive until a drain after complete().
   virtual void ref_retain() noexcept {}
   virtual void ref_release() noexcept {}
 
  protected:
   /// Restores the tracker-owned fields to their freshly-constructed state;
-  /// used by pooled subclasses when a slot is recycled.  A non-empty
+  /// used by pooled subclasses when a slot is recycled.  An open, non-empty
   /// dependents list here means the node is being recycled without having
   /// gone through complete() (abnormal teardown): the retained successor
-  /// references are dropped so their slots still recycle.  The vectors
-  /// keep their capacity — part of the zero-allocation steady state.
+  /// references are dropped so their slots still recycle.  The ranges
+  /// vector keeps its capacity — part of the zero-allocation steady state.
   void reset_dep_state() noexcept {
-    for (Node* d : dependents_) d->ref_release();
-    dependents_.clear();
+    Edge* const head = dependents_.load(std::memory_order_relaxed);
+    if (head != closed()) {
+      for (Edge* e = head; e != nullptr; e = e->next) e->succ->ref_release();
+    }
+    dependents_.store(nullptr, std::memory_order_relaxed);
+    harvested_ = nullptr;
+    retired_next_ = nullptr;
     ranges_.clear();
     visit_stamp_ = 0;
     pin_count_ = 0;
@@ -141,16 +162,36 @@ class Node {
  private:
   friend class BlockTracker;
 
+  /// One dependents-list record: a successor (one retained reference) and
+  /// the next record.  Records belong to the tracker's edge pool.
+  struct Edge {
+    Node* succ = nullptr;
+    Edge* next = nullptr;
+  };
+
+  /// The mark complete() leaves on a dependents list: no edge can be added
+  /// after it.  Never dereferenced.
+  [[nodiscard]] static Edge* closed() noexcept {
+    static constinit Edge mark;
+    return &mark;
+  }
+
   /// One registered clause: its bytes [lo, hi).
   struct Range {
     std::uint64_t lo;
     std::uint64_t hi;
   };
 
-  /// Successors; one retained ref each.
-  std::vector<Node*> dependents_;
-  /// The clause ranges this node registered; complete() looks its region
-  /// pins up by them.  Empty before registration and after complete().
+  /// Successors, newest first, or closed() once the node completed.
+  std::atomic<Edge*> dependents_{nullptr};
+  /// The list complete() closed, kept until the drain returns its records
+  /// to the tracker's pool.
+  Edge* harvested_ = nullptr;
+  /// Link in the tracker's retired list.
+  Node* retired_next_ = nullptr;
+  /// The clause ranges this node registered; the drain after complete()
+  /// looks its region pins up by them.  Empty before registration and
+  /// after that drain.
   std::vector<Range> ranges_;
   /// De-duplication during one registration; stamps are never reused, so
   /// a stale stamp can never false-positive.
@@ -158,10 +199,10 @@ class Node {
   /// Live region pins.  All pins share a single retained reference:
   /// register_node() retains once and publishes its pins in one store;
   /// whoever adds a pin (a split) increments, whoever drops one (a
-  /// displacing writer, a merge, complete()) decrements, and the count's
-  /// zero crossing releases the shared reference.  This keeps the
-  /// per-region cost to one increment instead of two virtual refcount
-  /// hooks.
+  /// displacing writer, a merge, the drain after complete()) decrements,
+  /// and the count's zero crossing releases the shared reference.  This
+  /// keeps the per-region cost to one increment instead of two virtual
+  /// refcount hooks.
   std::uint32_t pin_count_ = 0;
 };
 
@@ -173,11 +214,14 @@ struct TrackerStats {
 };
 
 /// Cache-line aligned: the lock and the map it guards share their own
-/// lines, away from the owner's other fields.
+/// lines, away from the owner's other fields, and the retired list that
+/// completions push onto has a line of its own.
 class alignas(64) BlockTracker {
  public:
   /// Vacant regions the map keeps for reuse before it sweeps them.
   static constexpr std::size_t kSweepAt = 32;
+  /// Edge records carved per refill of the edge free list.
+  static constexpr std::size_t kEdgeChunk = 64;
 
   BlockTracker() = default;
   BlockTracker(const BlockTracker&) = delete;
@@ -186,30 +230,64 @@ class alignas(64) BlockTracker {
   /// Registers `node`'s footprint and wires edges from every unfinished
   /// predecessor (RAW/WAR/WAW).  Returns the number of predecessors found;
   /// the caller must arrange for the node to stay unreleased until that many
-  /// complete() notifications have named it as a dependent.  Predecessors
-  /// may complete as soon as the registration unlocks, before the caller
-  /// has folded the count into its gate — callers seed their gate with a
-  /// surplus hold (see Runtime::spawn_impl) so early notifications cannot
-  /// zero it first.  A node registers at most once per life (between
-  /// reset_dep_state() calls).
+  /// complete() notifications have named it as a dependent.  A predecessor
+  /// may complete as soon as its edge is pushed, before the registration
+  /// returns and before the caller has folded the count into its gate —
+  /// callers seed their gate with a surplus hold (see Runtime::spawn_impl)
+  /// so early notifications cannot zero it first.  First drops the pins of
+  /// the nodes completed since the last drain.  A node registers at most
+  /// once per life (between reset_dep_state() calls).
   std::size_t register_node(Node* node, std::span<const Access> accesses);
 
-  /// Drops every region pin still naming `node` (the tracker holds no
-  /// pointer to the node afterwards) and appends the dependents recorded so
-  /// far to `out` (which is NOT cleared — callers reuse scratch buffers).
-  /// Each appended pointer carries one retained reference that the caller
-  /// adopts: decrement the dependent's gate, then ref_release() it (or hand
-  /// the reference on).  Nodes registered afterwards no longer depend on
-  /// `node`.
+  /// Closes `node`'s dependents list and appends the dependents recorded so
+  /// far to `out` (which is NOT cleared — callers reuse scratch buffers),
+  /// in registration order.  Each appended pointer carries one retained
+  /// reference that the caller adopts: decrement the dependent's gate, then
+  /// ref_release() it (or hand the reference on).  Nodes registered
+  /// afterwards no longer depend on `node`.  Takes no lock: the node goes
+  /// onto the retired list with one more retained reference, and the next
+  /// drain drops its region pins and that reference.
   void complete(Node& node, std::vector<Node*>& out);
 
+  /// Drops the region pins of every node completed so far.  One relaxed
+  /// load when none completed since the last drain.  The runtime calls it
+  /// after every top-level barrier, so a barrier leaves no live region and
+  /// no pinned task.
+  void reclaim();
+
   /// Forgets all history.  Only valid when no tasks are in flight (every
-  /// registered node completed), so the dropped regions pin nothing.
+  /// registered node completed), so once the completed nodes are drained
+  /// the dropped regions pin nothing.
   void reset();
 
-  [[nodiscard]] TrackerStats stats() const;
+  /// Drains completed nodes first, so `live_regions` counts only the
+  /// regions of nodes that have not completed.
+  [[nodiscard]] TrackerStats stats();
+
+  /// Dependency edges discovered so far (no drain).
+  [[nodiscard]] std::uint64_t edges() const;
 
  private:
+  using Edge = Node::Edge;
+
+  /// Nodes taken off the retired list.  Declared before the lock guard of
+  /// the scope that drains them, so their retired-list references drop
+  /// after the unlock: the last release recycles a task and destroys its
+  /// body captures, which must not run under the lock.
+  struct Drained {
+    Node* list = nullptr;
+    Drained() = default;
+    Drained(const Drained&) = delete;
+    Drained& operator=(const Drained&) = delete;
+    ~Drained() {
+      while (list != nullptr) {
+        Node* const next = list->retired_next_;  // the release may recycle it
+        list->ref_release();
+        list = next;
+      }
+    }
+  };
+
   /// One region: the bytes [lo, hi), the last writer and the readers since
   /// that write.  Each non-null entry is one pin of that node.
   struct Region {
@@ -226,7 +304,7 @@ class alignas(64) BlockTracker {
   }
 
   /// Pin bookkeeping of one map operation.  Pins of `self` (the node being
-  /// registered or completed) are counted in `parks` and published once at
+  /// registered or drained) are counted in `parks` and published once at
   /// the end; pins of any other node are counted on the node.  Used only
   /// under the tracker's lock.
   struct Pins {
@@ -273,10 +351,18 @@ class alignas(64) BlockTracker {
   void sweep() SIGRT_REQUIRES(lock_);
 
   /// Adds an edge pred -> succ unless pred is already linked during this
-  /// pass (visit stamp).  Returns true when an edge was added.  `pred` was
-  /// found in a region, so it has not completed: complete() drops every
-  /// pin of its node under the same lock.
+  /// pass (visit stamp) or has completed (its list is closed).  Returns
+  /// true when an edge was added.
   bool link(Node* pred, Node* succ, std::uint64_t stamp) SIGRT_REQUIRES(lock_);
+  /// Pops an edge record, refilling the free list with a chunk when empty.
+  Edge* take_edge() SIGRT_REQUIRES(lock_);
+
+  /// Takes the retired list and drops each node's region pins; returns the
+  /// list, whose references the caller's Drained releases after unlocking.
+  [[nodiscard]] Node* drain() SIGRT_REQUIRES(lock_);
+  /// Drops every region pin still naming the completed `node` and returns
+  /// its edge records to the free list.
+  void drop_pins(Node& node) SIGRT_REQUIRES(lock_);
 
   /// Drops `n` region pins of `node`; the last pin releases the shared
   /// registration reference.  Caller holds the tracker's lock.
@@ -289,16 +375,25 @@ class alignas(64) BlockTracker {
   mutable support::SpinLock lock_;
   /// The ordered map: regions ordered by lo, pairwise disjoint.
   std::vector<Region> regions_ SIGRT_GUARDED_BY(lock_);
-  /// Regions left vacant by complete(), not yet reused or swept.
+  /// Regions left vacant by a drain, not yet reused or swept.
   std::size_t vacant_ SIGRT_GUARDED_BY(lock_) = 0;
   /// Reader lists of erased regions, capacity kept for the next insert.
   std::vector<std::vector<Node*>> spare_ SIGRT_GUARDED_BY(lock_);
+  /// Edge records not on any dependents list.
+  Edge* free_edges_ SIGRT_GUARDED_BY(lock_) = nullptr;
+  /// Every chunk of edge records carved so far; freed only with the tracker.
+  std::vector<std::unique_ptr<Edge[]>> edge_chunks_ SIGRT_GUARDED_BY(lock_);
 
   /// Registration stamp source.  Starts at 1 so a freshly reset node's
   /// visit_stamp_ of 0 never matches a live stamp.
   std::uint64_t stamp_ SIGRT_GUARDED_BY(lock_) = 1;
   std::uint64_t registered_nodes_ SIGRT_GUARDED_BY(lock_) = 0;
   std::uint64_t edges_ SIGRT_GUARDED_BY(lock_) = 0;
+
+  /// Completed nodes not yet drained, newest first: complete() pushes with
+  /// one release CAS, a drain takes the whole list with one acquire
+  /// exchange.  Each node on it holds one retained reference.
+  alignas(64) std::atomic<Node*> retired_{nullptr};
 };
 
 }  // namespace sigrt::dep

@@ -25,7 +25,7 @@
 // Objects are constructed once per slot and *reset*, not destroyed, on
 // free (`T::reset_for_reuse()`, called on the freeing thread so captured
 // resources release promptly).  Internal buffers such as a task's
-// dependents vector therefore keep their capacity across reuses — the
+// clause-range vector therefore keep their capacity across reuses — the
 // steady state allocates nothing.  Each free bumps the slot's generation
 // counter, giving use-after-recycle bugs a cheap, testable signature.
 //

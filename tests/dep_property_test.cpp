@@ -565,4 +565,80 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DepConcurrentOracle,
                          }),
                          oracle_name);
 
+// One thread completes a writer while another registers a reader of its
+// bytes, round after round, with a seeded delay that moves the completion
+// across the registration.  Whichever wins, the reader's predecessor count
+// must match what the writer's complete() hands out: a list already closed
+// yields no edge, a push that loses against the closing exchange yields
+// none either, and an edge pushed before the close is harvested.  A lost
+// edge would leave the reader's gate shut for good.
+TEST(DepOracle, RegistrationRacingCompletionMakesAnEdgeOnlyWhenHandedOut) {
+  constexpr int kRounds = 20000;
+  constexpr std::uint64_t kMaxDelay = 2000;  // spin steps before complete()
+  alignas(64) static std::array<std::uint8_t, 64> cell{};
+  const std::vector<Access> write{{cell.data(), cell.size(), Mode::Out}};
+  const std::vector<Access> read{{cell.data(), cell.size(), Mode::In}};
+
+  BlockTracker tracker;
+  std::vector<CountingNode> writers(kRounds);
+  std::vector<CountingNode> readers(kRounds);
+  std::vector<std::size_t> found(kRounds, 0);
+  std::atomic<int> armed{-1};
+  std::atomic<int> go{-1};
+  std::atomic<int> done{-1};
+  // Spins hot, so the registrar answers `go` within a cache-line transfer;
+  // yields only when the other thread cannot run.
+  const auto spin_until = [](const std::atomic<int>& flag, int round) {
+    for (int spins = 0; flag.load(std::memory_order_acquire) < round; ++spins) {
+      if (spins > (1 << 16)) std::this_thread::yield();
+    }
+  };
+
+  std::thread registrar([&] {
+    for (int k = 0; k < kRounds; ++k) {
+      armed.store(k, std::memory_order_release);
+      spin_until(go, k);
+      found[static_cast<std::size_t>(k)] =
+          tracker.register_node(&readers[static_cast<std::size_t>(k)], read);
+      done.store(k, std::memory_order_release);
+    }
+  });
+
+  sigrt::support::Xoshiro256 rng(7);
+  std::vector<Node*> out;
+  std::size_t edges = 0;
+  std::size_t mismatches = 0;
+  for (int k = 0; k < kRounds; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    // The previous round's reader completed, so the writer finds nothing.
+    ASSERT_EQ(tracker.register_node(&writers[i], write), 0u) << "round " << k;
+    spin_until(armed, k);
+    go.store(k, std::memory_order_release);
+    volatile unsigned sink = 0;
+    for (std::uint64_t d = rng.bounded(kMaxDelay); d > 0; --d) sink = sink + 1;
+    out.clear();
+    tracker.complete(writers[i], out);
+    spin_until(done, k);
+    const bool handed = out.size() == 1 && out[0] == &readers[i];
+    if (found[i] != out.size() || (found[i] == 1 && !handed)) ++mismatches;
+    edges += found[i];
+    for (Node* n : out) n->ref_release();  // the caller adopts each entry
+    out.clear();
+    tracker.complete(readers[i], out);
+    EXPECT_TRUE(out.empty()) << "round " << k;
+  }
+  registrar.join();
+
+  EXPECT_EQ(mismatches, 0u) << "registrations whose edge count disagreed "
+                               "with the completion they raced";
+  EXPECT_EQ(tracker.stats().edges, edges);
+  EXPECT_EQ(tracker.stats().live_regions, 0u);
+  for (int k = 0; k < kRounds; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    EXPECT_EQ(writers[i].retains.load(), writers[i].releases.load()) << k;
+    EXPECT_EQ(readers[i].retains.load(), readers[i].releases.load()) << k;
+  }
+  RecordProperty("edges", static_cast<int>(edges));
+}
+
 }  // namespace

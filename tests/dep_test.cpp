@@ -284,6 +284,35 @@ TEST(BlockTracker, SplitFragmentsMergeBackAndReleaseTheirPins) {
   }
 }
 
+TEST(BlockTracker, CompletedNodeStaysRetainedUntilTheNextDrain) {
+  // complete() takes no lock: the node goes onto the retired list with one
+  // more reference, and its regions stay until a drain drops them — the
+  // next registration, on any bytes, or reclaim().
+  for (const bool by_registration : {true, false}) {
+    BlockTracker t;
+    alignas(64) std::array<unsigned char, 128> data{};
+    CountingNode w;
+    CountingNode other;
+    std::vector<Access> wa{sigrt::dep::out(&data[0], 64)};
+    t.register_node(&w, wa);
+    std::vector<Node*> out;
+    t.complete(w, out);
+    EXPECT_TRUE(out.empty());
+    // The registration's shared pin reference and the retired list's.
+    EXPECT_EQ(w.retains, 2) << "by_registration " << by_registration;
+    EXPECT_EQ(w.releases, 0) << "by_registration " << by_registration;
+    if (by_registration) {
+      std::vector<Access> oa{sigrt::dep::in(&data[64], 64)};
+      EXPECT_EQ(t.register_node(&other, oa), 0u);
+    } else {
+      t.reclaim();
+    }
+    EXPECT_EQ(w.retains, w.releases) << "by_registration " << by_registration;
+    // Only the unrelated reader's region is left.
+    EXPECT_EQ(t.stats().live_regions, by_registration ? 1u : 0u);
+  }
+}
+
 TEST(BlockTracker, WriterWhoseBytesWereAllOverwrittenIsNoPredecessor) {
   BlockTracker t;
   alignas(128) std::array<unsigned char, 128> data{};

@@ -2,6 +2,8 @@
 // diagnostic dump facility.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -101,29 +103,83 @@ TEST(Stats, TrackerStatsVisibleThroughRuntime) {
   EXPECT_GE(rt.tracker().stats().registered_nodes, 1u);
 }
 
+// Empty task body that counts its own destruction, which happens when the
+// task's pool slot is recycled (Task::reset_for_reuse) on whichever thread
+// drops the last reference.
+class RecycleToken {
+ public:
+  explicit RecycleToken(std::atomic<int>* recycled) : recycled_(recycled) {}
+  RecycleToken(RecycleToken&& other) noexcept
+      : recycled_(std::exchange(other.recycled_, nullptr)) {}
+  RecycleToken(const RecycleToken&) = delete;
+  RecycleToken& operator=(const RecycleToken&) = delete;
+  RecycleToken& operator=(RecycleToken&&) = delete;
+  ~RecycleToken() {
+    if (recycled_ != nullptr) recycled_->fetch_add(1, std::memory_order_relaxed);
+  }
+  void operator()() const {}
+
+ private:
+  std::atomic<int>* recycled_;
+};
+
 TEST(Stats, TrackerHoldsNoRegionAfterWaitAll) {
-  // Threaded, with overlapping wide reads, narrow writes and inout chains:
-  // once every task completed, every region is erased and no task is
-  // pinned (a leaked pin would also keep its pool slot from recycling).
+  // Threaded, with overlapping wide reads, narrow writes and inout chains,
+  // behind top-level wait_all and wait_group barriers in turn: once a
+  // barrier returns, every region is erased and every task it covered has
+  // recycled its pool slot.  A completed task stays on the tracker's
+  // retired list, pinned, until a drain; the barrier's reclaim() is that
+  // drain, and a task never drained would hold its slot for good.
   RuntimeConfig c;
   c.workers = 3;
   c.policy = PolicyKind::GTB;
-  Runtime rt(c);
-  static std::vector<unsigned char> image(64 * 1024);
-  static std::vector<unsigned char> rows(64 * 512);
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < 64; ++i) {
-      rt.spawn(sigrt::task([] {})
-                   .significance(0.5)
-                   .in(image.data(), image.size())
-                   .out(rows.data() + i * 512, 512));
-      rt.spawn(sigrt::task([] {}).inout(rows.data() + i * 512 + 100, 600));
+  const std::uint64_t live_before = sigrt::TaskPool::instance().stats().live();
+  {
+    Runtime rt(c);
+    const auto rows_group = rt.create_group("rows", 1.0);
+    static std::vector<unsigned char> image(64 * 1024);
+    static std::vector<unsigned char> rows(64 * 512);
+    std::atomic<int> recycled{0};
+    int spawned = 0;
+    for (int round = 0; round < 6; ++round) {
+      const bool by_group = round % 2 == 1;
+      const auto g = by_group ? rows_group : sigrt::kDefaultGroup;
+      for (std::size_t i = 0; i < 64; ++i) {
+        rt.spawn(sigrt::task(RecycleToken(&recycled))
+                     .significance(0.5)
+                     .group(g)
+                     .in(image.data(), image.size())
+                     .out(rows.data() + i * 512, 512));
+        rt.spawn(sigrt::task(RecycleToken(&recycled))
+                     .group(g)
+                     .inout(rows.data() + i * 512 + 100, 600));
+      }
+      rt.spawn(sigrt::task(RecycleToken(&recycled))
+                   .group(g)
+                   .inout(image.data() + 1000, 3000));
+      spawned += 129;
+      if (by_group) {
+        rt.wait_group(g);
+      } else {
+        rt.wait_all();
+      }
+      // A worker drops its reference to the task it ran just after the
+      // barrier count does, so the last few slots may trail the barrier.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (recycled.load(std::memory_order_relaxed) != spawned &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      EXPECT_EQ(recycled.load(), spawned) << "round " << round;
+      // stats() drains first, so it is read only after the poll.
+      EXPECT_EQ(rt.tracker().stats().live_regions, 0u) << "round " << round;
     }
-    rt.spawn(sigrt::task([] {}).inout(image.data() + 1000, 3000));
-    rt.wait_all();
-    EXPECT_EQ(rt.tracker().stats().live_regions, 0u) << "round " << round;
+    EXPECT_GT(rt.stats().dep_edges, 0u);
   }
-  EXPECT_GT(rt.stats().dep_edges, 0u);
+  // A worker batches its remote frees and flushes them when it exits, so
+  // the pool's live count is exact only now: every slot came back.
+  EXPECT_EQ(sigrt::TaskPool::instance().stats().live(), live_before);
 }
 
 TEST(Stats, RuntimeCountersOnlyGoUpAcrossGroupResets) {
